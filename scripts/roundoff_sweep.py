@@ -7,27 +7,19 @@ ratio per column; flat ratios mean the error does not accumulate with N.
 
 import sys
 
-from mpode.runners import ExperimentConfig, run_sweep
+from mpode.runners import SWEEP_PRESETS, ExperimentConfig, run_sweep
 
 N_LIST = [64, 128, 256, 512, 1024, 2048, 4096]
 
 
 def main() -> None:
     prefix = sys.argv[1] if len(sys.argv) > 1 else "sweep"
-    for field in ("polydecay", "mlp"):
+    for field, preset in SWEEP_PRESETS.items():
         for scheme in ("euler", "rk4"):
-            if field == "polydecay":
-                config = ExperimentConfig(
-                    field="polydecay", theta=[0.4, -1.1, 0.9], x0=[1.0], t_final=2.0,
-                    n=N_LIST, scheme=scheme, fmt="float16", policy="dynamic",
-                    out=f"{prefix}_{field}_{scheme}.csv",
-                )
-            else:
-                config = ExperimentConfig(
-                    field="mlp", widths=[2, 8, 8, 2], t_final=1.0, seed=0,
-                    n=N_LIST, scheme=scheme, fmt="float16", policy="dynamic",
-                    out=f"{prefix}_{field}_{scheme}.csv",
-                )
+            config = ExperimentConfig(
+                **preset, n=N_LIST, scheme=scheme, fmt="float16", policy="dynamic",
+                out=f"{prefix}_{field}_{scheme}.csv",
+            )
             rows = run_sweep(config)
             for name in ("re_y", "re_dy0", "re_dtheta1"):
                 vals = [getattr(r, name) for r in rows]

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .integrate import Scheme, StepVjp, Trajectory, build_step_tape, format_float
+from .integrate import Scheme, Trajectory, build_step_tape, format_float
 from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "ExhaustedRescale",
     "NonFiniteAccumulator",
     "init_scale",
-    "scheme_vjp",
     "backward",
     "objective_value",
     "SgdResult",
@@ -194,26 +193,6 @@ def init_scale(a: np.ndarray, fmt: FloatFormat) -> float:
     return math.ldexp(1.0, (1 - e) if f == 0.5 else -e)
 
 
-def scheme_vjp(
-    scheme: Scheme,
-    field: VelocityField,
-    y: np.ndarray,
-    t: float,
-    h: float,
-    theta_low: np.ndarray,
-    a_scaled: np.ndarray,
-    fmt: FloatFormat,
-    monitor: RangeMonitor | None = None,
-) -> StepVjp:
-    """Cotangents of one increment map, every primitive rounded in `fmt`."""
-    tape = build_step_tape(scheme, field, y, t, h, theta_low, fmt, monitor)
-    return tape.pullback(a_scaled, monitor)
-
-
-def _hp(x, fmt_high: FloatFormat):
-    return quantize(x, fmt_high)
-
-
 def backward(
     scheme: Scheme,
     field: VelocityField,
@@ -266,15 +245,15 @@ def _backward(
     w = objective.quad_weights(traj.grid)
 
     y_term = traj.final_hp if objective.terminal_state == "accumulator" else states[n]
-    a = _hp(np.asarray(objective.terminal_grad(y_term), dtype=np.float64).reshape(-1), fmt_high)
+    a = quantize(np.asarray(objective.terminal_grad(y_term), dtype=np.float64).reshape(-1), fmt_high)
     g = np.zeros(field.dim_params)
     tgrad = np.zeros(n + 1)
     running = objective.running
     if running is not None:
-        ry = _hp(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
+        ry = quantize(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
         a = add(a, mul(w[n], ry, fmt_high), fmt_high)
         if running.grad_theta is not None:
-            rth = _hp(np.asarray(running.grad_theta(float(t[n]), states[n], theta_low)), fmt_high)
+            rth = quantize(np.asarray(running.grad_theta(float(t[n]), states[n], theta_low)), fmt_high)
             g = mul(w[n], rth, fmt_high)
 
     if dynamic and not np.all(np.isfinite(a)):
@@ -324,13 +303,13 @@ def _backward(
         tgrad[i] = sub(add(tgrad[i], u, fmt_high), phi_a, fmt_high)
         tgrad[i + 1] = add(add(tgrad[i + 1], mul(hs, float(v.dh), fmt_high), fmt_high), phi_a, fmt_high)
         if running is not None:
-            ry = _hp(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
+            ry = quantize(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
             a = add(a, mul(w[i], ry, fmt_high), fmt_high)
         a = add(a, mul(hs, v.da, fmt_high), fmt_high)
         if field.dim_params:
             g = add(g, mul(hs, v.dtheta, fmt_high), fmt_high)
         if running is not None and running.grad_theta is not None:
-            rth = _hp(np.asarray(running.grad_theta(float(t[i]), states[i], theta_low)), fmt_high)
+            rth = quantize(np.asarray(running.grad_theta(float(t[i]), states[i], theta_low)), fmt_high)
             g = add(g, mul(w[i], rth, fmt_high), fmt_high)
 
         if dynamic:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import click
 
-from .runners import ExperimentConfig, run_sgd_demo, run_solve, run_sweep, run_table
+from .runners import SWEEP_PRESETS, ExperimentConfig, run_sgd_demo, run_solve, run_sweep, run_table
 
 
 @click.group()
@@ -34,22 +34,15 @@ def table(out: str, steps: int, scheme: str) -> None:
 @click.option(
     "--policy", default="dynamic", show_default=True, type=click.Choice(["none", "safe", "dynamic"])
 )
-@click.option("--field", default="polydecay", show_default=True, type=click.Choice(["polydecay", "mlp"]))
+@click.option("--field", default="polydecay", show_default=True, type=click.Choice(list(SWEEP_PRESETS)))
 @click.option("--seed", default=0, show_default=True, help="Seed for the mlp field.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int, out: str) -> None:
     """Relative errors vs the float64 same-scheme run across step counts."""
     ns = [int(v) for v in n_list.split(",") if v.strip()]
-    if field == "polydecay":
-        config = ExperimentConfig(
-            field="polydecay", theta=[0.4, -1.1, 0.9], x0=[1.0], t_final=2.0,
-            n=ns, scheme=scheme, fmt=fmt, policy=policy, out=out,
-        )
-    else:
-        config = ExperimentConfig(
-            field="mlp", widths=[2, 8, 8, 2], t_final=1.0, seed=seed,
-            n=ns, scheme=scheme, fmt=fmt, policy=policy, out=out,
-        )
+    config = ExperimentConfig(
+        **SWEEP_PRESETS[field], seed=seed, n=ns, scheme=scheme, fmt=fmt, policy=policy, out=out
+    )
     rows = run_sweep(config)
     click.echo(f"wrote {len(rows)} rows to {out}")
 

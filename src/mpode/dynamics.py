@@ -65,9 +65,11 @@ Pullback = Callable[..., FieldVjp]
 class VelocityField(abc.ABC):
     """f(t, y, theta) with a recorded-activation reverse sweep.
 
-    `eval_count` counts field evaluations (eval and linearize both count,
-    pullback calls do not); it exists so callers can assert evaluation
-    budgets, and is the one piece of mutable state on a field.
+    Each field has one forward pass, `_linearize`; `eval` is its value
+    without the pullback.  `eval_count` counts field evaluations (eval and
+    linearize both count, pullback calls do not); it exists so callers can
+    assert evaluation budgets, and is the one piece of mutable state on a
+    field.
     """
 
     dim_state: int
@@ -89,8 +91,8 @@ class VelocityField(abc.ABC):
         _, pull = self.linearize(t, y, theta, fmt, monitor)
         return pull(cotangent, monitor)
 
-    @abc.abstractmethod
-    def _eval(self, t, y, theta, fmt, monitor) -> np.ndarray: ...
+    def _eval(self, t, y, theta, fmt, monitor) -> np.ndarray:
+        return self._linearize(t, y, theta, fmt, monitor)[0]
 
     @abc.abstractmethod
     def _linearize(self, t, y, theta, fmt, monitor) -> tuple[np.ndarray, Pullback]: ...
@@ -106,8 +108,8 @@ class PolyDecayField(VelocityField):
     dim_state = 1
     dim_params = 3
 
-    def _pieces(self, t, y, theta, fmt, monitor):
-        th1, th2, th3 = (float(v) for v in theta)
+    def _linearize(self, t, y, theta, fmt, monitor):
+        th1, th2, th3 = map(float, theta)
         y0 = float(y[0])
         tq = quantize(float(t), fmt, monitor)
         t2 = mul(tq, tq, fmt, monitor)
@@ -115,14 +117,7 @@ class PolyDecayField(VelocityField):
         p2 = mul(th2, tq, fmt, monitor)
         s = add(p1, p2, fmt, monitor)
         lam = add(s, th3, fmt, monitor)
-        m = mul(lam, y0, fmt, monitor)
-        return th1, th2, tq, t2, lam, y0, -m
-
-    def _eval(self, t, y, theta, fmt, monitor):
-        return np.array([self._pieces(t, y, theta, fmt, monitor)[-1]])
-
-    def _linearize(self, t, y, theta, fmt, monitor):
-        th1, th2, tq, t2, lam, y0, f = self._pieces(t, y, theta, fmt, monitor)
+        f = -mul(lam, y0, fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
             cm = -float(cotangent[0])
@@ -150,10 +145,6 @@ class LinearField(VelocityField):
         if self.a_matrix.ndim != 2 or self.a_matrix.shape[0] != self.a_matrix.shape[1]:
             raise ValueError("a_matrix must be square")
         self.dim_state = self.a_matrix.shape[0]
-
-    def _eval(self, t, y, theta, fmt, monitor):
-        aq = quantize(self.a_matrix, fmt, monitor)
-        return np.atleast_1d(dot(aq, y, fmt, monitor))
 
     def _linearize(self, t, y, theta, fmt, monitor):
         aq = quantize(self.a_matrix, fmt, monitor)
@@ -206,30 +197,15 @@ class MlpField(VelocityField):
             out.append((w, b))
         return out
 
-    def _eval(self, t, y, theta, fmt, monitor):
-        v = np.concatenate([y, [quantize(float(t), fmt, monitor)]])
-        layers = self._layers(theta)
-        last = len(layers) - 1
-        for l, (w, b) in enumerate(layers):
-            z = add(dot(w, v, fmt, monitor), b, fmt, monitor)
-            v = tanh(z, fmt, monitor) if l < last else z
-        return v
-
     def _linearize(self, t, y, theta, fmt, monitor):
-        v = np.concatenate([y, [quantize(float(t), fmt, monitor)]])
         layers = self._layers(theta)
         last = len(layers) - 1
-        inputs = []  # per-layer input vector
-        acts = []  # tanh outputs per hidden layer
+        # vs[l] is the input of layer l, which for l > 0 is the tanh output
+        # of layer l - 1; vs[-1] is the field value.
+        vs = [np.concatenate([y, [quantize(float(t), fmt, monitor)]])]
         for l, (w, b) in enumerate(layers):
-            inputs.append(v)
-            z = add(dot(w, v, fmt, monitor), b, fmt, monitor)
-            if l < last:
-                v = tanh(z, fmt, monitor)
-                acts.append(v)
-            else:
-                v = z
-        f = v
+            z = add(dot(w, vs[l], fmt, monitor), b, fmt, monitor)
+            vs.append(tanh(z, fmt, monitor) if l < last else z)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
             c = np.asarray(cotangent, dtype=np.float64)
@@ -238,19 +214,19 @@ class MlpField(VelocityField):
             for l in range(last, -1, -1):
                 w, _ = layers[l]
                 if l < last:
-                    a = acts[l]
+                    a = vs[l + 1]
                     gate = sub(1.0, mul(a, a, fmt, monitor), fmt, monitor)
                     c = mul(c, gate, fmt, monitor)
                 out_d, in_d = self._shapes[l]
                 pos -= out_d
                 dtheta[pos : pos + out_d] = c
-                dw = mul(c[:, None], inputs[l][None, :], fmt, monitor)
+                dw = mul(c[:, None], vs[l][None, :], fmt, monitor)
                 pos -= out_d * in_d
                 dtheta[pos : pos + out_d * in_d] = dw.ravel()
                 c = np.atleast_1d(dot(w.T, c, fmt, monitor))
             return FieldVjp(c[: self.dim_state], float(c[self.dim_state]), dtheta)
 
-        return f, pull
+        return vs[-1], pull
 
 
 def save_weights(path: str | Path, field: MlpField, params: Params) -> None:

@@ -1,10 +1,17 @@
-"""Fixed-step explicit integration with a split-precision state.
+"""Fixed-step explicit Runge-Kutta integration with a split-precision state.
 
 The field is evaluated in the low format; the state advances in the high
 format (`y += h * dy`, both ops correctly rounded there) and a low-precision
 copy of every state is stored.  The stored copies are what the increment
 recomputation in the backward pass consumes, so they are the contract: the
 high-precision terminal state is exposed separately as a diagnostic.
+
+Each scheme is a Butcher tableau, held as data (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.1).  One stage routine runs a tableau for both the
+forward increment and the backward step tape, so the recomputed increment
+is bit-identical to the forward one by construction; the tape's pullback
+is derived from the same tableau (Griewank & Walther, Evaluating
+Derivatives, ch. 3).
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ class Scheme(enum.Enum):
 
     @property
     def stages(self) -> int:
-        return 1 if self is Scheme.EULER else 4
+        return _TABLEAUX[self].stages
 
     @classmethod
     def from_name(cls, name: str) -> "Scheme":
@@ -51,6 +58,48 @@ class Scheme(enum.Enum):
             return cls(name.lower())
         except ValueError:
             raise ValueError(f"unknown scheme {name!r}, expected euler or rk4") from None
+
+
+class _Tableau:
+    """Explicit Butcher tableau (a, b, c) and the index lists its loops walk.
+
+    Stage i evaluates the field at t + c_i h and y + sum_j a_ij h k_j; the
+    increment is sum_i b_i k_i.  Zero entries emit no rounded op, and a unit
+    weight or time-gradient coefficient emits no multiply, so the tableau
+    form runs exactly the op sequence of the scheme written out by hand.
+    """
+
+    def __init__(self, a, b, c) -> None:
+        self.stages = len(b)
+        # Nonzero a_ij of each stage row: the terms of the stage input.
+        rows = [[(j, v) for j, v in enumerate(row) if v] for row in a]
+        # Distinct non-unit weights in order of first appearance, and each
+        # stage's slot among them (None for a unit weight): the reverse
+        # sweep forms each distinct b * cotangent product once.
+        self.weights = tuple(dict.fromkeys(v for v in b if v != 1.0))
+        slots = [None if v == 1.0 else self.weights.index(v) for v in b]
+        self.forward = tuple(zip(c, rows, slots))
+        # Reverse sweep, last stage first: each stage j's weight slot and the
+        # later stages i, with their a_ij, whose input read k_j.
+        self.reverse = tuple(
+            (j, slots[j], [(i, v) for i, row in enumerate(rows) for jj, v in row if jj == j])
+            for j in reversed(range(self.stages))
+        )
+        # Terms of d(increment)/dh in summation order: per stage i, c_i * dt_i
+        # (j is None), then a_ij * <k_j, da_i>.
+        self.dh_terms = tuple(
+            (i, j, v) for i, (ci, row) in enumerate(zip(c, rows)) for j, v in [(None, ci), *row] if v
+        )
+
+
+_TABLEAUX = {
+    Scheme.EULER: _Tableau(a=[[]], b=[1.0], c=[0.0]),
+    Scheme.RK4: _Tableau(
+        a=[[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
+        b=[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
+        c=[0.0, 0.5, 0.5, 1.0],
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +151,28 @@ class NonFiniteState(RuntimeError):
         self.trajectory = trajectory
 
 
-def _combine_rk4(k1, k2, k3, k4, fmt, monitor):
-    # Butcher weights live in the computation format, like every other
-    # operand of the stage arithmetic, and are applied per stage before
-    # accumulating so partial sums stay on the order of |dy| itself.
-    # Summing raw stages first peaks near 6|dy| and can overflow a narrow
-    # format even when every stage and every state is comfortably in range.
-    w6 = quantize(1.0 / 6.0, fmt)
-    w3 = quantize(1.0 / 3.0, fmt)
-    s = add(mul(w6, k1, fmt, monitor), mul(w3, k2, fmt, monitor), fmt, monitor)
-    s = add(s, mul(w3, k3, fmt, monitor), fmt, monitor)
-    return add(s, mul(w6, k4, fmt, monitor), fmt, monitor)
+def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
+    """Run a tableau once; returns the increment, stages, pullbacks and weights.
+
+    Butcher weights live in the computation format, like every other
+    operand of the stage arithmetic, and are applied per stage before
+    accumulating so partial sums stay on the order of |dy| itself.
+    Summing raw stages first peaks near 6|dy| for RK4 and can overflow a
+    narrow format even when every stage and every state is in range.
+    """
+    weights = [quantize(v, fmt) for v in tab.weights]
+    ks, pulls = [], []
+    dy = None
+    for c, row, slot in tab.forward:
+        u = y
+        for j, a in row:
+            u = add(u, mul(a * h, ks[j], fmt, monitor), fmt, monitor)
+        k, pull = field.linearize(t + c * h if c else t, u, theta_low, fmt, monitor)
+        ks.append(k)
+        pulls.append(pull)
+        term = k if slot is None else mul(weights[slot], k, fmt, monitor)
+        dy = term if dy is None else add(dy, term, fmt, monitor)
+    return dy, ks, pulls, weights
 
 
 def increment(
@@ -128,16 +188,11 @@ def increment(
     """One increment dy with every primitive rounded in `fmt`.
 
     t and h arrive in high precision; they are rounded only where they meet
-    low-precision values (the h*k products and the field's own use of t).
+    low-precision values (the a_ij h k_j products and the field's own use of
+    t).  The c_i h and a_ij h products stay in the carrier, where the halves
+    and ones of Euler and RK4 make them exact.
     """
-    if scheme is Scheme.EULER:
-        return field.eval(t, y, theta_low, fmt, monitor)
-    h2 = 0.5 * h  # exact power-of-two scaling of the high-precision step
-    k1 = field.eval(t, y, theta_low, fmt, monitor)
-    k2 = field.eval(t + h2, add(y, mul(h2, k1, fmt, monitor), fmt, monitor), theta_low, fmt, monitor)
-    k3 = field.eval(t + h2, add(y, mul(h2, k2, fmt, monitor), fmt, monitor), theta_low, fmt, monitor)
-    k4 = field.eval(t + h, add(y, mul(h, k3, fmt, monitor), fmt, monitor), theta_low, fmt, monitor)
-    return _combine_rk4(k1, k2, k3, k4, fmt, monitor)
+    return _stages(_TABLEAUX[scheme], field, y, t, h, theta_low, fmt, monitor)[0]
 
 
 def forward(
@@ -172,7 +227,7 @@ def forward(
             dy_h = quantize(dy, fmt_high)
             y = add(y, mul(h, dy_h, fmt_high), fmt_high)
             states[i + 1] = quantize(y, fmt_low)
-            if not np.all(np.isfinite(states[i + 1])):
+            if not np.isfinite(states[i + 1]).all():
                 partial = Trajectory(
                     TimeGrid(t[: i + 2]), states[: i + 2].copy(), np.asarray(y), fmt_low, fmt_high
                 )
@@ -201,19 +256,13 @@ class StepVjp(NamedTuple):
 class StepTape:
     """Recorded stage values of one step, reusable across cotangents.
 
-    `pullback` applies the reverse sweep without re-evaluating the field, so
-    a rescale loop can retry with a halved cotangent at no field-eval cost.
+    `pullback(cotangent, monitor=None)` takes a float64 array and applies
+    the reverse sweep without re-evaluating the field, so a rescale loop can
+    retry with a halved cotangent at no field-eval cost.
     """
 
     increment: np.ndarray
     pullback: Callable[..., StepVjp]
-
-
-def _sum_rounded(parts, fmt, monitor):
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = add(acc, p, fmt, monitor)
-    return acc
 
 
 def build_step_tape(
@@ -228,57 +277,37 @@ def build_step_tape(
 ) -> StepTape:
     """Evaluate one step's stages once and capture their pullbacks.
 
-    The recomputed increment is bit-identical to `increment(...)` because the
-    rounded op sequence is the same.
+    The recomputed increment is bit-identical to `increment(...)`: both run
+    the same stage routine.  The pullback is the reverse sweep of that
+    routine.  Stage j's cotangent is b_j * cotangent plus a_ij h times the
+    input cotangent of each later stage i that read k_j; the input, time,
+    step and parameter cotangents of all stages are then summed in stage
+    order.
     """
-    if scheme is Scheme.EULER:
-        f, pull = field.linearize(t, y, theta_low, fmt, monitor)
-
-        def pullback(cotangent, monitor=None) -> StepVjp:
-            g = pull(cotangent, monitor)
-            return StepVjp(g.da, g.dt, 0.0, g.dtheta)
-
-        return StepTape(f, pullback)
-
-    h2 = 0.5 * h
-    k1, p1 = field.linearize(t, y, theta_low, fmt, monitor)
-    u2 = add(y, mul(h2, k1, fmt, monitor), fmt, monitor)
-    k2, p2 = field.linearize(t + h2, u2, theta_low, fmt, monitor)
-    u3 = add(y, mul(h2, k2, fmt, monitor), fmt, monitor)
-    k3, p3 = field.linearize(t + h2, u3, theta_low, fmt, monitor)
-    u4 = add(y, mul(h, k3, fmt, monitor), fmt, monitor)
-    k4, p4 = field.linearize(t + h, u4, theta_low, fmt, monitor)
-    dy = _combine_rk4(k1, k2, k3, k4, fmt, monitor)
-
-    w6 = quantize(1.0 / 6.0, fmt)
-    w3 = quantize(1.0 / 3.0, fmt)
+    tab = _TABLEAUX[scheme]
+    dy, ks, pulls, weights = _stages(tab, field, y, t, h, theta_low, fmt, monitor)
 
     def pullback(cotangent, monitor=None) -> StepVjp:
-        c = np.asarray(cotangent, dtype=np.float64)
-        c6 = mul(w6, c, fmt, monitor)
-        c3 = mul(w3, c, fmt, monitor)
-        g4 = p4(c6, monitor)
-        g3 = p3(add(c3, mul(h, g4.da, fmt, monitor), fmt, monitor), monitor)
-        g2 = p2(add(c3, mul(h2, g3.da, fmt, monitor), fmt, monitor), monitor)
-        g1 = p1(add(c6, mul(h2, g2.da, fmt, monitor), fmt, monitor), monitor)
-        da = _sum_rounded([g1.da, g2.da, g3.da, g4.da], fmt, monitor)
-        dt = _sum_rounded([g1.dt, g2.dt, g3.dt, g4.dt], fmt, monitor)
-        dh = _sum_rounded(
-            [
-                mul(0.5, g2.dt, fmt, monitor),
-                mul(0.5, dot(k1, g2.da, fmt, monitor), fmt, monitor),
-                mul(0.5, g3.dt, fmt, monitor),
-                mul(0.5, dot(k2, g3.da, fmt, monitor), fmt, monitor),
-                g4.dt,
-                float(dot(k3, g4.da, fmt, monitor)),
-            ],
-            fmt,
-            monitor,
-        )
-        if field.dim_params:
-            dtheta = _sum_rounded([g1.dtheta, g2.dtheta, g3.dtheta, g4.dtheta], fmt, monitor)
-        else:
-            dtheta = g1.dtheta
-        return StepVjp(da, float(dt), float(dh), dtheta)
+        scaled = []
+        for w in weights:
+            scaled.append(mul(w, cotangent, fmt, monitor))
+        gs = [None] * tab.stages
+        for j, slot, consumers in tab.reverse:
+            kbar = cotangent if slot is None else scaled[slot]
+            for i, a in consumers:
+                kbar = add(kbar, mul(a * h, gs[i].da, fmt, monitor), fmt, monitor)
+            gs[j] = pulls[j](kbar, monitor)
+        da, dt, dtheta = gs[0]
+        for g in gs[1:]:
+            da = add(da, g.da, fmt, monitor)
+            dt = add(dt, g.dt, fmt, monitor)
+            if field.dim_params:
+                dtheta = add(dtheta, g.dtheta, fmt, monitor)
+        dh = None
+        for i, j, coef in tab.dh_terms:
+            v = gs[i].dt if j is None else dot(ks[j], gs[i].da, fmt, monitor)
+            v = float(v) if coef == 1.0 else mul(coef, v, fmt, monitor)
+            dh = v if dh is None else add(dh, v, fmt, monitor)
+        return StepVjp(da, float(dt), 0.0 if dh is None else float(dh), dtheta)
 
     return StepTape(dy, pullback)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ __all__ = [
     "get_format",
     "quantize",
     "RangeMonitor",
-    "low_op",
     "add",
     "sub",
     "mul",
@@ -53,35 +53,43 @@ class FloatFormat:
         if self.exponent_bits < 2 or self.mantissa_bits < 1:
             raise ValueError(f"degenerate format: {self}")
 
-    @property
+    # Derived constants are computed once per format: quantize reads them on
+    # every call.  cached_property writes the instance dict directly, so it
+    # works on the frozen dataclass and leaves eq and hash on the fields.
+    @cached_property
     def bias(self) -> int:
         return 2 ** (self.exponent_bits - 1) - 1
 
-    @property
+    @cached_property
     def min_exp(self) -> int:
         """Smallest normal exponent (unbiased)."""
         return 1 - self.bias
 
-    @property
+    @cached_property
     def unit_roundoff(self) -> float:
         return 2.0 ** -(self.mantissa_bits + 1)
 
-    @property
+    @cached_property
     def max_finite(self) -> float:
         return (2.0 - 2.0 ** -self.mantissa_bits) * 2.0 ** self.bias
 
-    @property
+    @cached_property
     def min_normal(self) -> float:
         return 2.0 ** self.min_exp
 
-    @property
+    @cached_property
     def min_subnormal(self) -> float:
         return 2.0 ** (self.min_exp - self.mantissa_bits)
 
-    @property
+    @cached_property
     def _ulp_floor(self) -> int:
         """Exponent of the subnormal spacing, the coarsest allowed ulp floor."""
         return self.min_exp - self.mantissa_bits
+
+    @cached_property
+    def _native(self):
+        """The numpy dtype whose cast rounds exactly like this format, or None."""
+        return _NATIVE_DTYPES.get((self.exponent_bits, self.mantissa_bits))
 
     def __str__(self) -> str:
         return self.name
@@ -140,7 +148,7 @@ _NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
-    native = _NATIVE_DTYPES.get((fmt.exponent_bits, fmt.mantissa_bits))
+    native = fmt._native
     if native is not None and -fmt.max_finite <= x <= fmt.max_finite:
         # In-range casts cannot overflow, so this path never warns.
         return float(native(x))
@@ -159,7 +167,7 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
 
 
 def _quantize_array(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    native = _NATIVE_DTYPES.get((fmt.exponent_bits, fmt.mantissa_bits))
+    native = fmt._native
     if native is not None:
         return x.astype(native).astype(np.float64)
     _, e = np.frexp(x)
@@ -253,24 +261,3 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         acc = quantize(acc + p[..., j], fmt, monitor)
     return acc
 
-
-_OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "exp": exp,
-    "tanh": tanh,
-    "abs": absolute,
-    "max": maximum,
-    "dot": dot,
-}
-
-
-def low_op(op: str, *args, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    """Apply one correctly rounded primitive in `fmt` by name."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}, expected one of {sorted(_OPS)}") from None
-    return fn(*args, fmt=fmt, monitor=monitor)

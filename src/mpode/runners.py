@@ -29,6 +29,7 @@ from .precision import FLOAT32, FLOAT64, FloatFormat, get_format
 __all__ = [
     "ExperimentConfig",
     "ErrorRow",
+    "SWEEP_PRESETS",
     "decay_benchmark",
     "parse_config",
     "write_error_rows",
@@ -40,6 +41,11 @@ __all__ = [
 
 TABLE_FORMATS = ("float32", "float16", "bfloat16")
 TABLE_POLICIES = ("none", "dynamic")
+# ExperimentConfig fields of the step-count sweep's two problems, by field.
+SWEEP_PRESETS = {
+    "polydecay": dict(field="polydecay", theta=(0.4, -1.1, 0.9), x0=(1.0,), t_final=2.0),
+    "mlp": dict(field="mlp", widths=(2, 8, 8, 2), t_final=1.0),
+}
 
 
 @dataclass
@@ -219,8 +225,7 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     Rows are ordered (float32, float16, bfloat16) x (none, dynamic). A failed
     backward yields infinite gradient-error entries and a non-ok status.
     """
-    field, params, x = decay_benchmark()[:3]
-    t_final = 2.65
+    field, params, x, t_final = decay_benchmark()
     n = int(config.n)
     scheme = Scheme.from_name(config.scheme)
     grid = TimeGrid.uniform(t_final, n)

@@ -23,7 +23,14 @@ from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.integrate import Scheme, TimeGrid, forward
 from mpode.oracles import fd_gradient
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, quantize
-from mpode.runners import ExperimentConfig, decay_benchmark, run_sgd_demo, run_sweep, run_table
+from mpode.runners import (
+    SWEEP_PRESETS,
+    ExperimentConfig,
+    decay_benchmark,
+    run_sgd_demo,
+    run_sweep,
+    run_table,
+)
 
 
 def report(capsys, ok, label, detail):
@@ -123,15 +130,13 @@ def test_1d_bfloat16_policies_agree(table_rows, capsys):
 
 def test_2_error_flat_in_step_count(capsys):
     n_list = [64, 128, 256, 512, 1024, 2048, 4096]
-    cases = [
-        ("polydecay", dict(field="polydecay", theta=[0.4, -1.1, 0.9], x0=[1.0], t_final=2.0)),
-        ("mlp", dict(field="mlp", widths=[2, 8, 8, 2], seed=0, t_final=1.0)),
-    ]
     t0 = time.perf_counter()
     ratios = {}
-    for name, kwargs in cases:
+    for name, preset in SWEEP_PRESETS.items():
         for scheme in ("euler", "rk4"):
-            cfg = ExperimentConfig(scheme=scheme, n=n_list, fmt="float16", policy="none", **kwargs)
+            cfg = ExperimentConfig(
+                scheme=scheme, n=n_list, fmt="float16", policy="none", seed=0, **preset
+            )
             rows = run_sweep(cfg)
             assert all(r.status == "ok" for r in rows)
             for qty in ("re_y", "re_dy0", "re_dtheta1", "re_dtheta2", "re_dtheta3"):

@@ -184,6 +184,38 @@ class TestBackwardFloat64:
         ) / (2 * eps)
         assert np.isclose(g.d_t.sum(), fd, rtol=1e-5, atol=1e-10)
 
+    @pytest.mark.parametrize("scheme", [Scheme.EULER, Scheme.RK4], ids=["euler", "rk4"])
+    @pytest.mark.parametrize("field_name", ["polydecay", "mlp"])
+    def test_each_time_gradient_matches_finite_differences(self, scheme, field_name):
+        # Moving node i alone lengthens one step and shortens the next, so
+        # d_t[i] carries the step-size cotangents (StepVjp.dh) of both; they
+        # cancel in sum(d_t), which is all the shift test above sees.  RK4's
+        # d_t scales with its local error, so the grid is coarse enough for
+        # finite differences to resolve it.
+        if field_name == "polydecay":
+            field, params, x, grid = mild_problem(n=4)
+        else:
+            field = MlpField((2, 4, 4, 2))
+            params = field.init_params(1)
+            x = np.array([0.6, -0.4])
+            grid = TimeGrid.uniform(1.0, 4)
+        traj = forward(scheme, field, x, grid, params, FLOAT64, FLOAT64)
+        g = backward(
+            scheme, field, traj, params, terminal_objective(), ScalingPolicy.unscaled(),
+            FLOAT64, FLOAT64,
+        )
+        eps = 1e-4
+        fd = np.zeros(grid.n_steps - 1)
+        for i in range(1, grid.n_steps):
+            vals = []
+            for s in (eps, -eps):
+                t = grid.t.copy()
+                t[i] += s
+                moved = forward(scheme, field, x, TimeGrid(t), params, FLOAT64, FLOAT64)
+                vals.append(objective_value(terminal_objective(), moved, params.master))
+            fd[i - 1] = (vals[0] - vals[1]) / (2 * eps)
+        assert np.allclose(g.d_t[1:-1], fd, rtol=1e-4, atol=0.0)
+
 
 class TestScalingEquivalence:
     # With the terminal covector above 1/(2u) the doubling rule never fires,
@@ -296,9 +328,6 @@ class AlwaysInfVjpField(VelocityField):
 
     dim_state = 1
     dim_params = 1
-
-    def _eval(self, t, y, theta, fmt, monitor):
-        return np.zeros(1)
 
     def _linearize(self, t, y, theta, fmt, monitor):
         def pull(cotangent, monitor=None):

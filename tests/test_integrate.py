@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from mpode.dynamics import LinearField, Params, PolyDecayField
+from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.integrate import (
     NonFiniteState,
     Scheme,
     TimeGrid,
+    build_step_tape,
     format_float,
     forward,
     increment,
 )
-from mpode.precision import FLOAT16, FLOAT32, FLOAT64, quantize
+from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, quantize
 
 
 class ZeroField(LinearField):
@@ -98,6 +99,34 @@ class TestIncrement:
         field = LinearField([[-1.0]])
         increment(Scheme.RK4, field, np.array([1.0]), 0.0, 0.1, np.zeros(0), FLOAT64)
         assert field.eval_count == 4
+
+
+def tiny_state_problem(name):
+    """Field, theta and a state small enough to underflow in narrow formats."""
+    if name == "polydecay":
+        return PolyDecayField(), np.array([0.4, -1.1, 0.9]), np.array([3e-6])
+    if name == "linear":
+        return LinearField([[-0.2, 1.0], [-1.0, -0.2]]), np.zeros(0), np.array([3e-6, -1e-6])
+    field = MlpField((2, 8, 8, 2))
+    return field, field.init_params(0).master, np.array([3e-6, -2e-6])
+
+
+class TestStepTape:
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("field_name", ["polydecay", "linear", "mlp"])
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
+    def test_tape_increment_is_forward_increment(self, scheme, field_name, fmt):
+        field, theta, y = tiny_state_problem(field_name)
+        theta_low = quantize(theta, fmt)
+        mon_fwd, mon_tape = RangeMonitor(), RangeMonitor()
+        dy = increment(scheme, field, y, 0.3, 0.1, theta_low, fmt, mon_fwd)
+        assert field.eval_count == scheme.stages
+        tape = build_step_tape(scheme, field, y, 0.3, 0.1, theta_low, fmt, mon_tape)
+        assert field.eval_count == 2 * scheme.stages
+        assert tape.increment.tobytes() == dy.tobytes()
+        assert (mon_tape.underflows, mon_tape.overflows) == (mon_fwd.underflows, mon_fwd.overflows)
+        if fmt is FLOAT16:
+            assert mon_fwd.underflows > 0  # the comparison above saw range events
 
 
 class TestForward:

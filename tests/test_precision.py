@@ -19,7 +19,6 @@ from mpode.precision import (
     dot,
     exp,
     get_format,
-    low_op,
     mul,
     quantize,
     sub,
@@ -212,7 +211,7 @@ class TestRoundedOps:
 
     def test_add_overflow_to_inf(self):
         assert add(65504.0, 65504.0, FLOAT16) == math.inf
-        assert low_op("add", 65504.0, 65504.0, fmt=FLOAT16) == math.inf
+        assert add(65504.0, 65504.0, fmt=FLOAT16) == math.inf
 
     def test_mul_subnormal_result(self):
         out = mul(2.0**-14, 2.0**-4, FLOAT16)
@@ -242,11 +241,6 @@ class TestRoundedOps:
         v = np.array([1.0, 1.0])
         out = dot(w, v, FLOAT64)
         assert np.array_equal(out, w @ v)
-
-    def test_low_op_dispatch(self):
-        assert low_op("mul", 3.0, 7.0, fmt=FLOAT16) == 21.0
-        with pytest.raises(ValueError):
-            low_op("fma", 1.0, 2.0, fmt=FLOAT16)
 
     @given(finite_doubles, finite_doubles)
     def test_ops_always_representable(self, a, b):

@@ -11,18 +11,13 @@ from .adjoint import (
     Gradients,
     NonFiniteAccumulator,
     Objective,
-    PolicyKind,
     RunningCost,
     ScalingPolicy,
-    SgdResult,
     backward,
-    init_scale,
     objective_value,
     sgd_step,
-    trapezoid_weights,
 )
 from .dynamics import (
-    FieldVjp,
     LinearField,
     MlpField,
     Params,
@@ -34,14 +29,10 @@ from .dynamics import (
 from .integrate import (
     NonFiniteState,
     Scheme,
-    StepTape,
-    StepVjp,
     TimeGrid,
     Trajectory,
-    build_step_tape,
     format_float,
     forward,
-    increment,
 )
 from .oracles import analytic_gradient, analytic_solution, fd_gradient
 from .precision import (
@@ -59,12 +50,10 @@ from .runners import (
     ErrorRow,
     ExperimentConfig,
     decay_benchmark,
-    parse_config,
     run_sgd_demo,
     run_solve,
     run_sweep,
     run_table,
-    write_error_rows,
 )
 
 __all__ = [
@@ -77,7 +66,6 @@ __all__ = [
     "FLOAT32",
     "FLOAT64",
     "FORMATS",
-    "FieldVjp",
     "FloatFormat",
     "Gradients",
     "LinearField",
@@ -86,32 +74,24 @@ __all__ = [
     "NonFiniteState",
     "Objective",
     "Params",
-    "PolicyKind",
     "PolyDecayField",
     "RangeMonitor",
     "RunningCost",
     "ScalingPolicy",
     "Scheme",
-    "SgdResult",
-    "StepTape",
-    "StepVjp",
     "TimeGrid",
     "Trajectory",
     "VelocityField",
     "analytic_gradient",
     "analytic_solution",
     "backward",
-    "build_step_tape",
     "decay_benchmark",
     "fd_gradient",
     "format_float",
     "forward",
     "get_format",
-    "increment",
-    "init_scale",
     "load_weights",
     "objective_value",
-    "parse_config",
     "quantize",
     "run_sgd_demo",
     "run_solve",
@@ -119,8 +99,6 @@ __all__ = [
     "run_table",
     "save_weights",
     "sgd_step",
-    "trapezoid_weights",
-    "write_error_rows",
 ]
 
 __version__ = "0.1.0"

@@ -4,13 +4,17 @@ The backward pass walks the stored low-precision states in reverse,
 recomputes each step's increment in low precision, and pulls the adjoint
 back through it.  The adjoint, parameter, and time-gradient accumulators
 live in high precision; only the covector handed to the reverse sweep is
-quantized, after multiplication by a per-step power-of-two scale factor.
+quantized, after multiplication by a per-step power-of-two scale S.
 
-Scale management under the dynamic policy:
-  * start at 2**floor(log2(1 / (u_low * ||a||_inf)));
-  * on a non-finite reverse sweep, halve and retry (no field re-evaluation,
-    the step tape is reused);
-  * after a step that needed no rescue, double for the next step while
+Every policy runs the same attempt loop per step: build the step tape once,
+then pull back quantize(S * a).  Under `none` and `safe` S stays 1.0
+(quantize(1.0 * a) is bit for bit quantize(a)) and the first attempt is
+final; `safe` then returns an all-infinite d_theta if that pullback was
+non-finite, the skip-step signal of loss-scaled training.  Under `dynamic`:
+  * S starts at 2**floor(log2(1 / (u_low * ||a||_inf)));
+  * on a non-finite pullback, halve S and retry on the same tape (no field
+    re-evaluation), at most k_max attempts and never below s_floor;
+  * after a step that needed no rescue, double S for the next step while
     ||a||_inf stays at most 1/(2*u_low), checked after the update.
 Every contribution is divided by the scale used, so the scale never changes
 the represented gradient, only which region of the format it flows through.
@@ -62,29 +66,13 @@ class RunningCost:
 class Objective:
     """L = sum_i w_i R(t_i, y_i, theta) + C(y_N) on the discrete trajectory.
 
-    `weights` defaults to trapezoid quadrature on the grid.  The terminal
-    cost is evaluated on the stored low-precision y_N by default; set
-    `terminal_state="accumulator"` to use the high-precision terminal state
-    instead.
+    The weights w_i are trapezoid quadrature on the grid, and the terminal
+    cost is evaluated on the stored low-precision y_N.
     """
 
     terminal: Callable[[np.ndarray], float]
     terminal_grad: Callable[[np.ndarray], np.ndarray]
     running: RunningCost | None = None
-    weights: np.ndarray | None = None
-    terminal_state: str = "stored"
-
-    def __post_init__(self) -> None:
-        if self.terminal_state not in ("stored", "accumulator"):
-            raise ValueError("terminal_state must be 'stored' or 'accumulator'")
-
-    def quad_weights(self, grid) -> np.ndarray:
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.size != grid.t.size:
-                raise ValueError("quadrature weights must have one entry per grid node")
-            return w
-        return trapezoid_weights(grid)
 
 
 def trapezoid_weights(grid) -> np.ndarray:
@@ -193,6 +181,7 @@ def init_scale(a: np.ndarray, fmt: FloatFormat) -> float:
     return math.ldexp(1.0, (1 - e) if f == 0.5 else -e)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def backward(
     scheme: Scheme,
     field: VelocityField,
@@ -211,41 +200,19 @@ def backward(
     Exactly n_steps * scheme.stages field evaluations are performed no
     matter how many rescale attempts happen: retries reuse the step tape.
     `scale_multiplier` (a power of two) shifts the whole scale sequence and
-    exists for bit-exactness instrumentation.
+    exists for bit-exactness instrumentation.  Rescue probes push
+    non-finite values through the arithmetic on purpose and blow-ups are
+    detected explicitly, so numpy's FP warnings are silenced for the sweep.
     """
-    # Rescue probes push non-finite values through the arithmetic on
-    # purpose and blow-ups are detected explicitly, so numpy's FP
-    # warnings are noise for the whole sweep.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _backward(
-            scheme, field, traj, params, objective, policy, fmt_low, fmt_high,
-            monitor, trace, scale_multiplier,
-        )
-
-
-def _backward(
-    scheme: Scheme,
-    field: VelocityField,
-    traj: Trajectory,
-    params: Params | None,
-    objective: Objective,
-    policy: ScalingPolicy,
-    fmt_low: FloatFormat,
-    fmt_high: FloatFormat,
-    monitor: RangeMonitor | None,
-    trace: BackwardTrace | None,
-    scale_multiplier: float,
-) -> Gradients:
     dynamic = policy.kind is PolicyKind.DYNAMIC
     safe = policy.kind is PolicyKind.UNSCALED_SAFE
     theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
     t = traj.grid.t
     n = traj.grid.n_steps
     states = traj.states
-    w = objective.quad_weights(traj.grid)
+    w = trapezoid_weights(traj.grid)
 
-    y_term = traj.final_hp if objective.terminal_state == "accumulator" else states[n]
-    a = quantize(np.asarray(objective.terminal_grad(y_term), dtype=np.float64).reshape(-1), fmt_high)
+    a = quantize(np.asarray(objective.terminal_grad(states[n]), dtype=np.float64).reshape(-1), fmt_high)
     g = np.zeros(field.dim_params)
     tgrad = np.zeros(n + 1)
     running = objective.running
@@ -267,29 +234,22 @@ def _backward(
     for i in range(n - 1, -1, -1):
         h = sub(float(t[i + 1]), float(t[i]), fmt_high)
         tape = build_step_tape(scheme, field, states[i], float(t[i]), h, theta_low, fmt_low, monitor)
-        rescued = False
-        if dynamic:
-            attempts = 0
-            while True:
-                attempts += 1
-                if attempts > policy.k_max:
-                    raise ExhaustedRescale(i)
-                sa = quantize(scale * a, fmt_low, monitor)
-                v = tape.pullback(sa, monitor)
-                if v.finite():
-                    break
-                rescued = True
-                scale = 0.5 * scale
-                if scale < policy.s_floor:
-                    raise ExhaustedRescale(i)
-            if trace is not None:
-                trace.scales.append(scale)
-                trace.rescale_counts.append(attempts - 1)
+        # Under none/safe the scale stays 1.0, so the covector is a's own
+        # rounding and the first pullback is final.
+        for attempts in range(1, policy.k_max + 1):
+            v = tape.pullback(quantize(scale * a, fmt_low, monitor), monitor)
+            if not dynamic or v.finite():
+                break
+            scale = 0.5 * scale
+            if scale < policy.s_floor:
+                raise ExhaustedRescale(i)
         else:
-            sa = quantize(a, fmt_low, monitor)
-            v = tape.pullback(sa, monitor)
-            if safe and not v.finite():
-                return Gradients(a, np.full(field.dim_params, np.inf), tgrad)
+            raise ExhaustedRescale(i)
+        if safe and not v.finite():
+            return Gradients(a, np.full(field.dim_params, np.inf), tgrad)
+        if dynamic and trace is not None:
+            trace.scales.append(scale)
+            trace.rescale_counts.append(attempts - 1)
 
         # High-precision accumulation; Phi^T a uses the pre-update adjoint
         # and the recomputed increment, as a rounded high-precision dot.
@@ -321,7 +281,9 @@ def _backward(
             ):
                 raise NonFiniteAccumulator(i)
             # Doubling check runs on the freshly updated adjoint.
-            if not rescued and float(np.max(np.abs(a), initial=0.0)) <= 1.0 / (2.0 * fmt_low.unit_roundoff):
+            if attempts == 1 and (
+                float(np.max(np.abs(a), initial=0.0)) <= 1.0 / (2.0 * fmt_low.unit_roundoff)
+            ):
                 scale = 2.0 * scale
                 if trace is not None:
                     trace.doublings += 1
@@ -334,10 +296,9 @@ def _backward(
 
 def objective_value(objective: Objective, traj: Trajectory, theta: np.ndarray) -> float:
     """Discrete objective on a stored trajectory, in plain float64."""
-    y_term = traj.final_hp if objective.terminal_state == "accumulator" else traj.states[-1]
-    val = float(objective.terminal(y_term))
+    val = float(objective.terminal(traj.states[-1]))
     if objective.running is not None:
-        w = objective.quad_weights(traj.grid)
+        w = trapezoid_weights(traj.grid)
         for i, ti in enumerate(traj.grid.t):
             val += float(w[i]) * float(objective.running.value(float(ti), traj.states[i], theta))
     return val

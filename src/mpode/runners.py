@@ -155,7 +155,7 @@ def _high_format(fmt_low: FloatFormat) -> FloatFormat:
 def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     got = np.asarray(got, dtype=np.float64).reshape(-1)
     ref = np.asarray(ref, dtype=np.float64).reshape(-1)
-    denom = float(np.max(np.abs(ref)))
+    denom = float(np.max(np.abs(ref), initial=0.0))
     if denom == 0.0:
         return 0.0 if float(np.max(np.abs(got), initial=0.0)) == 0.0 else float("inf")
     return float(np.max(np.abs(got - ref))) / denom
@@ -165,11 +165,12 @@ def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None,
     """Field, parameters, and initial state described by a config."""
     name = config.field.lower()
     if name == "polydecay":
-        if config.theta is None and config.x0 is None and config.t_final == 2.65:
-            return decay_benchmark()[:3]
-        theta = np.asarray(config.theta if config.theta is not None else [0.4, -1.1, 0.9], dtype=np.float64)
-        x = np.asarray(config.x0 if config.x0 is not None else [1.0], dtype=np.float64)
-        return PolyDecayField(), Params(theta), x
+        field, params, x, _ = decay_benchmark()
+        if config.theta is not None:
+            params = Params(np.asarray(config.theta, dtype=np.float64))
+        if config.x0 is not None:
+            x = np.asarray(config.x0, dtype=np.float64)
+        return field, params, x
     if name == "linear":
         a = np.asarray(config.a_matrix if config.a_matrix is not None else [[-1.0]], dtype=np.float64)
         field = LinearField(a)
@@ -200,7 +201,7 @@ def _run_cell(
     fmt_low: FloatFormat,
     policy: ScalingPolicy,
 ) -> tuple[np.ndarray, Gradients | None, str]:
-    """One forward+backward run; non-finite outcomes become a status string.
+    """One forward+backward run; failed or non-finite outcomes become a status.
 
     The reported terminal state is the high-precision accumulator: state
     accuracy is a property of the accumulated solution, while the stored
@@ -216,7 +217,28 @@ def _run_cell(
         grads = backward(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
     except ExhaustedRescale as exc:
         return traj.final_hp, None, f"exhausted-rescale-at-{exc.step}"
+    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
+        return traj.final_hp, None, "non-finite-gradient"
     return traj.final_hp, grads, "ok"
+
+
+def _error_row(fmt: str, policy: str, n: int, cell: tuple, refs: tuple) -> ErrorRow:
+    """Error row of one `_run_cell` result against (y, d_x, d_theta) references.
+
+    A failed cell (no gradients) gets inf gradient errors. Three-parameter
+    fields get one d_theta error per component; any other size gets the
+    normwise error repeated in all three theta columns.
+    """
+    y, grads, status = cell
+    y_ref, dx_ref, dtheta_ref = refs
+    re_y = _rel_err(y, y_ref)
+    if grads is None:
+        return ErrorRow(fmt, policy, n, re_y, *[float("inf")] * 4, status=status)
+    if len(dtheta_ref) == 3:
+        re_th = [_rel_err(grads.d_theta[j : j + 1], dtheta_ref[j : j + 1]) for j in range(3)]
+    else:
+        re_th = [_rel_err(grads.d_theta, dtheta_ref)] * 3
+    return ErrorRow(fmt, policy, n, re_y, _rel_err(grads.d_x, dx_ref), *re_th, status=status)
 
 
 def run_table(config: ExperimentConfig) -> list[ErrorRow]:
@@ -230,21 +252,15 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     scheme = Scheme.from_name(config.scheme)
     grid = TimeGrid.uniform(t_final, n)
     y_ref = analytic_solution(t_final, float(x[0]), params.master)
-    dx_ref, dtheta_ref = analytic_gradient(t_final, float(x[0]), params.master)
+    refs = (y_ref, *analytic_gradient(t_final, float(x[0]), params.master))
 
     rows = []
     for fmt_name in TABLE_FORMATS:
         for policy_name in TABLE_POLICIES:
             fmt = get_format(fmt_name)
             policy = ScalingPolicy.from_name(policy_name)
-            y_low, grads, status = _run_cell(scheme, field, params, x, grid, fmt, policy)
-            re_y = _rel_err(y_low, np.array([y_ref]))
-            if grads is None:
-                gerrs = [float("inf")] * 4
-            else:
-                gerrs = [_rel_err(grads.d_x, np.array([dx_ref]))]
-                gerrs += [_rel_err(grads.d_theta[j : j + 1], dtheta_ref[j : j + 1]) for j in range(3)]
-            rows.append(ErrorRow(fmt_name, policy_name, n, re_y, *gerrs, status=status))
+            cell = _run_cell(scheme, field, params, x, grid, fmt, policy)
+            rows.append(_error_row(fmt_name, policy_name, n, cell, refs))
     if config.out:
         write_error_rows(rows, config.out)
     return rows
@@ -271,19 +287,9 @@ def run_sweep(config: ExperimentConfig) -> list[ErrorRow]:
         grads_ref = backward(
             scheme, field, traj_ref, params, objective, ScalingPolicy.unscaled(), FLOAT64, FLOAT64
         )
-        y_low, grads, status = _run_cell(scheme, field, params, x, grid, fmt, policy)
-        re_y = _rel_err(y_low, traj_ref.final_hp)
-        if grads is None:
-            gerrs = [float("inf")] * 4
-        elif field.dim_params == 3:
-            gerrs = [_rel_err(grads.d_x, grads_ref.d_x)]
-            gerrs += [
-                _rel_err(grads.d_theta[j : j + 1], grads_ref.d_theta[j : j + 1]) for j in range(3)
-            ]
-        else:
-            re_th = _rel_err(grads.d_theta, grads_ref.d_theta)
-            gerrs = [_rel_err(grads.d_x, grads_ref.d_x), re_th, re_th, re_th]
-        rows.append(ErrorRow(config.fmt, config.policy, n, re_y, *gerrs, status=status))
+        cell = _run_cell(scheme, field, params, x, grid, fmt, policy)
+        refs = (traj_ref.final_hp, grads_ref.d_x, grads_ref.d_theta)
+        rows.append(_error_row(config.fmt, config.policy, n, cell, refs))
     if config.out:
         write_error_rows(rows, config.out)
     return rows

@@ -165,6 +165,12 @@ class TestBuildField:
         assert np.array_equal(params.master, BENCH_THETA)
         assert x[0] == BENCH_X
 
+    def test_polydecay_defaults_are_benchmark_at_any_t_final(self):
+        field, params, x = build_field(ExperimentConfig(x0=[2.0], t_final=1.0))
+        assert np.array_equal(params.master, BENCH_THETA) and x.tolist() == [2.0]
+        field, params, x = build_field(ExperimentConfig(theta=[0.4, -1.1, 0.9], t_final=1.0))
+        assert params.master.tolist() == [0.4, -1.1, 0.9] and x[0] == BENCH_X
+
     def test_mlp_with_seeded_init(self):
         config = ExperimentConfig(field="mlp", widths=[2, 4, 4, 2], seed=3)
         field, params, x = build_field(config)
@@ -237,6 +243,32 @@ class TestRunSweep:
         row = run_sweep(config)[0]
         assert row.re_dtheta1 == row.re_dtheta2 == row.re_dtheta3
         assert 0.0 < row.re_dtheta1 < 0.2
+
+    def test_field_without_parameters(self):
+        config = ExperimentConfig(
+            field="linear", a_matrix=[[-1.0]], scheme="euler", fmt="float16",
+            policy="dynamic", n=[8],
+        )
+        row = run_sweep(config)[0]
+        assert row.status == "ok"
+        assert 0.0 < row.re_y < 1e-3 and 0.0 < row.re_dy0 < 1e-3
+        assert row.re_dtheta1 == row.re_dtheta2 == row.re_dtheta3 == 0.0
+
+    @pytest.mark.parametrize(
+        "policy, status", [("none", "non-finite-gradient"), ("safe", "non-finite-gradient"),
+                           ("dynamic", "ok")],
+    )
+    def test_non_finite_gradient_is_not_ok(self, policy, status):
+        # growth e^(4t) on a float16 solve: the unscaled adjoint sweep overflows
+        config = ExperimentConfig(
+            field="polydecay", theta=[0.0, 0.0, -4.0], x0=[1.0], t_final=2.0,
+            n=[64], scheme="rk4", fmt="float16", policy=policy,
+        )
+        row = run_sweep(config)[0]
+        assert row.status == status
+        gerrs = [row.re_dy0, row.re_dtheta1, row.re_dtheta2, row.re_dtheta3]
+        assert all(math.isinf(e) for e in gerrs) == (status != "ok")
+        assert math.isfinite(row.re_y)
 
     def test_forward_blowup_becomes_status_row(self):
         config = ExperimentConfig(

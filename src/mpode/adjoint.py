@@ -39,7 +39,6 @@ __all__ = [
     "RunningCost",
     "Objective",
     "trapezoid_weights",
-    "PolicyKind",
     "ScalingPolicy",
     "Gradients",
     "BackwardTrace",
@@ -48,7 +47,6 @@ __all__ = [
     "init_scale",
     "backward",
     "objective_value",
-    "SgdResult",
     "sgd_step",
 ]
 
@@ -304,6 +302,11 @@ def objective_value(objective: Objective, traj: Trajectory, theta: np.ndarray) -
     return val
 
 
+# Rejected steps stop halving the loss scale here, so a long run of
+# non-finite gradients can never drive it to 0 and the next update to grad/0.
+MIN_LOSS_SCALE = 2.0**-24
+
+
 @dataclass
 class SgdResult:
     params: Params
@@ -326,12 +329,12 @@ def sgd_step(
 
     grad_fn(params, loss_scale, fmt_low) returns the gradient of the scaled
     loss computed with quantized weights.  A non-finite gradient rejects the
-    step and halves the scale; `growth_window` consecutive accepted steps
-    double it and reset the streak.
+    step and halves the scale, but not below MIN_LOSS_SCALE; `growth_window`
+    consecutive accepted steps double it and reset the streak.
     """
     grad = np.asarray(grad_fn(params, loss_scale, fmt_low), dtype=np.float64)
     if not np.all(np.isfinite(grad)):
-        return SgdResult(params, 0.5 * loss_scale, False, 0)
+        return SgdResult(params, max(0.5 * loss_scale, MIN_LOSS_SCALE), False, 0)
     update = grad / loss_scale + weight_decay * params.master
     new = Params(params.master - lr * update)
     streak += 1

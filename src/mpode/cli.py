@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import click
 
-from .runners import SWEEP_PRESETS, ExperimentConfig, run_sgd_demo, run_solve, run_sweep, run_table
+from .runners import (
+    SWEEP_PRESETS,
+    ExperimentConfig,
+    SolveFailed,
+    run_sgd_demo,
+    run_solve,
+    run_sweep,
+    run_table,
+)
 
 
 @click.group()
@@ -70,9 +78,18 @@ def sgd_demo(steps: int, fmt: str, seed: int, lr: float, out: str) -> None:
     "--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False)
 )
 def solve(config_path: str) -> None:
-    """Forward and backward pass described by a key = value config file."""
+    """Forward and backward pass described by a key = value config file.
+
+    A run that does not end `ok` writes what it computed, prints its status
+    on one line and exits with status 1.
+    """
     config = ExperimentConfig.from_file(config_path)
-    paths = run_solve(config)
+    try:
+        paths = run_solve(config)
+    except SolveFailed as exc:
+        for p in exc.paths:
+            click.echo(f"wrote {p}")
+        raise click.ClickException(f"solve failed: {exc.status}") from None
     if paths is None:
         click.echo("no `out` set in config; nothing written")
     else:

@@ -32,8 +32,6 @@ __all__ = [
     "NonFiniteState",
     "increment",
     "forward",
-    "StepVjp",
-    "StepTape",
     "build_step_tape",
     "format_float",
 ]

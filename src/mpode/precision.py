@@ -9,7 +9,13 @@ double rounding harmless for every format here, including emulated float32
 (2*24 + 2 = 50 <= 53).
 
 Reductions round after every partial accumulation in a fixed left-to-right
-order, so there is no hidden wide accumulator.
+order, so there is no hidden wide accumulator.  `dot` takes all its partial
+sums from one strict left-to-right `np.add.accumulate`: in float64 rounding
+is the identity, and in float16/float32 the accumulate runs in the native
+dtype, whose float16 add rounds through float32 first, which is again
+harmless because 24 >= 2*11 + 2 (Figueroa, 1995).  `np.sum`,
+`np.add.reduce` and `@` reassociate the sum (pairwise, a float32
+accumulator, BLAS) and must never stand in for it.
 """
 from __future__ import annotations
 
@@ -35,8 +41,6 @@ __all__ = [
     "div",
     "exp",
     "tanh",
-    "absolute",
-    "maximum",
     "dot",
 ]
 
@@ -252,12 +256,34 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     Products are rounded elementwise first, then accumulated left to right
     with a rounding after each addition: there is no fused multiply-add.
     Leading axes broadcast, so a matrix-vector product is `dot(W, v, fmt)`.
+
+    The partial sums come from one `np.add.accumulate`, which is a strict
+    left-to-right recursive sum, in the format's native dtype where it has
+    one.  In float64 rounding is the identity, so that is the sum itself.
+    numpy's float16 add rounds the exact sum to float32 and then to float16,
+    which equals one rounding because 24 >= 2*11 + 2 (Figueroa, "When is
+    double rounding innocuous?", 1995).  `np.sum`, `np.add.reduce` and `@`
+    must not replace it: they sum pairwise, in a float32 accumulator or
+    through BLAS, in an order that is not left to right.  bfloat16 has no
+    native dtype and rounds each partial sum with its own `quantize` call.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     p = np.atleast_1d(quantize(a * b, fmt, monitor))
-    acc = p[..., 0]
-    for j in range(1, p.shape[-1]):
-        acc = quantize(acc + p[..., j], fmt, monitor)
-    return acc
+    if p.shape[-1] == 1:
+        return p[..., 0]
+    native = fmt._native
+    if fmt.mantissa_bits >= 52:
+        acc = np.add.accumulate(p, axis=-1)
+    elif native is not None:
+        acc = np.add.accumulate(p.astype(native), axis=-1)
+        if monitor is not None:
+            acc = acc.astype(np.float64)
+            monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
+    else:
+        acc = p[..., 0]
+        for j in range(1, p.shape[-1]):
+            acc = quantize(acc + p[..., j], fmt, monitor)
+        return acc
+    return float(acc[-1]) if acc.ndim == 1 else acc[..., -1].astype(np.float64)
 

@@ -16,13 +16,14 @@ import numpy as np
 from .adjoint import (
     ExhaustedRescale,
     Gradients,
+    NonFiniteAccumulator,
     Objective,
     ScalingPolicy,
     backward,
     sgd_step,
 )
 from .dynamics import LinearField, MlpField, Params, PolyDecayField, VelocityField
-from .integrate import NonFiniteState, Scheme, TimeGrid, format_float, forward
+from .integrate import NonFiniteState, Scheme, TimeGrid, Trajectory, format_float, forward
 from .oracles import analytic_gradient, analytic_solution
 from .precision import FLOAT32, FLOAT64, FloatFormat, get_format
 
@@ -37,6 +38,7 @@ __all__ = [
     "run_sweep",
     "run_sgd_demo",
     "run_solve",
+    "SolveFailed",
 ]
 
 TABLE_FORMATS = ("float32", "float16", "bfloat16")
@@ -192,6 +194,40 @@ def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None,
     raise ValueError(f"unknown field {config.field!r}")
 
 
+def _solve(
+    scheme: Scheme,
+    field: VelocityField,
+    params: Params | None,
+    x: np.ndarray,
+    grid: TimeGrid,
+    fmt_low: FloatFormat,
+    policy: ScalingPolicy,
+) -> tuple[Trajectory, Gradients | None, str]:
+    """One forward+backward run; a failed or non-finite outcome becomes a status.
+
+    Returns what was computed: after `non-finite-state-at-<i>` the
+    trajectory ends at the first non-finite state and there are no
+    gradients, after `exhausted-rescale-at-<i>` and
+    `non-finite-accumulator-at-<i>` there are no gradients, and
+    `non-finite-gradient` keeps the gradients that backward returned.
+    """
+    fmt_high = _high_format(fmt_low)
+    try:
+        traj = forward(scheme, field, x, grid, params, fmt_low, fmt_high)
+    except NonFiniteState as exc:
+        return exc.trajectory, None, f"non-finite-state-at-{exc.step}"
+    objective = _terminal_objective()
+    try:
+        grads = backward(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
+    except ExhaustedRescale as exc:
+        return traj, None, f"exhausted-rescale-at-{exc.step}"
+    except NonFiniteAccumulator as exc:
+        return traj, None, f"non-finite-accumulator-at-{exc.step}"
+    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
+        return traj, grads, "non-finite-gradient"
+    return traj, grads, "ok"
+
+
 def _run_cell(
     scheme: Scheme,
     field: VelocityField,
@@ -201,25 +237,17 @@ def _run_cell(
     fmt_low: FloatFormat,
     policy: ScalingPolicy,
 ) -> tuple[np.ndarray, Gradients | None, str]:
-    """One forward+backward run; failed or non-finite outcomes become a status.
+    """Terminal state, gradients (None unless `ok`) and status of one run.
 
     The reported terminal state is the high-precision accumulator: state
     accuracy is a property of the accumulated solution, while the stored
-    low-precision copy only adds one storage rounding on top of it.
+    low-precision copy only adds one storage rounding on top of it.  A
+    forward blow-up reports an infinite state.
     """
-    fmt_high = _high_format(fmt_low)
-    objective = _terminal_objective()
-    try:
-        traj = forward(scheme, field, x, grid, params, fmt_low, fmt_high)
-    except NonFiniteState as exc:
-        return np.full(field.dim_state, np.inf), None, f"non-finite-state-at-{exc.step}"
-    try:
-        grads = backward(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
-    except ExhaustedRescale as exc:
-        return traj.final_hp, None, f"exhausted-rescale-at-{exc.step}"
-    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
-        return traj.final_hp, None, "non-finite-gradient"
-    return traj.final_hp, grads, "ok"
+    traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
+    if status.startswith("non-finite-state-at-"):
+        return np.full(field.dim_state, np.inf), None, status
+    return traj.final_hp, grads if status == "ok" else None, status
 
 
 def _error_row(fmt: str, policy: str, n: int, cell: tuple, refs: tuple) -> ErrorRow:
@@ -395,27 +423,38 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     return result
 
 
+class SolveFailed(RuntimeError):
+    """`run_solve` ended in a failure `status`, after writing `paths`."""
+
+    def __init__(self, status: str, paths: tuple[Path, ...]):
+        super().__init__(status)
+        self.status = status
+        self.paths = paths
+
+
 def run_solve(config: ExperimentConfig) -> tuple[Path, Path] | None:
     """Generic forward/backward run; writes trajectory and gradients CSVs.
 
     With out = `<stem>` the files are `<stem>_trajectory.csv` and
     `<stem>_gradients.csv`. Returns the written paths, or None if out unset.
+    A run whose status is not `ok` (see `_solve`) writes what it computed,
+    a partial trajectory and no gradients file if backward raised, then
+    raises SolveFailed with the status and the paths written.
     """
     field, params, x = build_field(config)
     scheme = Scheme.from_name(config.scheme)
     fmt_low = get_format(config.fmt)
-    fmt_high = _high_format(fmt_low)
     policy = ScalingPolicy.from_name(config.policy)
     grid = TimeGrid.uniform(config.t_final, int(config.n))
-    traj = forward(scheme, field, x, grid, params, fmt_low, fmt_high)
-    grads = backward(
-        scheme, field, traj, params, _terminal_objective(), policy, fmt_low, fmt_high
-    )
-    if not config.out:
-        return None
-    stem = Path(config.out)
-    traj_path = stem.with_name(stem.name + "_trajectory.csv")
-    grad_path = stem.with_name(stem.name + "_gradients.csv")
-    traj.to_csv(traj_path)
-    grads.to_csv(grad_path)
-    return traj_path, grad_path
+    traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
+    paths: tuple[Path, ...] = ()
+    if config.out:
+        stem = Path(config.out)
+        paths = (stem.with_name(stem.name + "_trajectory.csv"),)
+        traj.to_csv(paths[0])
+        if grads is not None:
+            paths += (stem.with_name(stem.name + "_gradients.csv"),)
+            grads.to_csv(paths[1])
+    if status != "ok":
+        raise SolveFailed(status, paths)
+    return paths or None

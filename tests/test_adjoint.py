@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpode import adjoint, dynamics, integrate, precision
 from mpode.adjoint import (
     BackwardTrace,
     ExhaustedRescale,
@@ -16,6 +17,7 @@ from mpode.adjoint import (
     ScalingPolicy,
     backward,
     init_scale,
+    MIN_LOSS_SCALE,
     objective_value,
     sgd_step,
     trapezoid_weights,
@@ -349,6 +351,32 @@ class TestRangeCounts:
         assert got == counts
 
 
+class TestRoundingCallCount:
+    def test_mlp_euler_step_quantize_calls(self, monkeypatch):
+        # Exact on any host: one dot rounds its products and its partial
+        # sums with one call each, so a per-column rounding loop in dot
+        # would add a call per input column of every layer.
+        calls = []
+        real = precision.quantize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (precision, dynamics, integrate, adjoint):
+            monkeypatch.setattr(module, "quantize", counting)
+        field = MlpField((2, 16, 16, 2))
+        params = field.init_params(0)
+        grid = TimeGrid.uniform(1.0, 1)
+        traj = forward(Scheme.EULER, field, np.array([0.5, -0.25]), grid, params, FLOAT16, FLOAT32)
+        assert len(calls) == 17
+        backward(
+            Scheme.EULER, field, traj, params, terminal_objective(),
+            ScalingPolicy.unscaled(), FLOAT16, FLOAT32,
+        )
+        assert len(calls) == 53
+
+
 class AlwaysInfVjpField(VelocityField):
     """Pullback emits inf regardless of the cotangent: rescaling cannot help."""
 
@@ -458,6 +486,28 @@ class TestSgdStep:
         assert out.loss_scale == 512.0
         assert out.streak == 0
         assert np.array_equal(out.params.master, params.master)
+
+    def test_loss_scale_stops_at_floor(self):
+        # 1,091 halvings from 2**16 would reach 0.0 and make the next update grad / 0.
+        params = Params([1.0, -2.0])
+        state = sgd_step(
+            params, lambda p, s, f: np.array([np.inf, 0.0]), lr=0.1, loss_scale=2.0**16,
+            weight_decay=0.0, fmt_low=FLOAT16,
+        )
+        for _ in range(1_099):
+            state = sgd_step(
+                state.params, lambda p, s, f: np.array([np.inf, 0.0]), lr=0.1,
+                loss_scale=state.loss_scale, weight_decay=0.0, fmt_low=FLOAT16,
+            )
+            assert not state.accepted
+        assert state.loss_scale == MIN_LOSS_SCALE > 0.0
+        assert np.array_equal(state.params.master, params.master)
+        out = sgd_step(
+            state.params, lambda p, s, f: np.array([s, -s]), lr=0.1,
+            loss_scale=state.loss_scale, weight_decay=0.0, fmt_low=FLOAT16,
+        )
+        assert out.accepted and np.isfinite(out.params.master).all()
+        assert np.array_equal(out.params.master, [1.0 - 0.1, -2.0 + 0.1])
 
     def test_growth_window_doubles(self):
         params = Params([0.0])

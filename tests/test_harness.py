@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mpode.adjoint import Objective
+from mpode import runners
+from mpode.adjoint import ExhaustedRescale, NonFiniteAccumulator, Objective
 from mpode.cli import main
 from mpode.dynamics import Params, PolyDecayField
 from mpode.integrate import Scheme, TimeGrid
@@ -14,6 +15,7 @@ from mpode.oracles import analytic_gradient, analytic_solution, fd_gradient
 from mpode.runners import (
     ErrorRow,
     ExperimentConfig,
+    SolveFailed,
     build_field,
     decay_benchmark,
     parse_config,
@@ -317,6 +319,27 @@ class TestRunSolve:
     def test_no_out_returns_none(self):
         assert run_solve(ExperimentConfig(n=8, fmt="float64")) is None
 
+    @pytest.mark.parametrize(
+        "exc, status",
+        [(ExhaustedRescale(5), "exhausted-rescale-at-5"),
+         (NonFiniteAccumulator(2), "non-finite-accumulator-at-2")],
+    )
+    def test_backward_failure_keeps_trajectory(self, tmp_path, monkeypatch, exc, status):
+        def failing_backward(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(runners, "backward", failing_backward)
+        config = ExperimentConfig(
+            theta=[0.4, -1.1, 0.9], x0=[1.0], t_final=2.0, n=8, fmt="float16",
+            out=str(tmp_path / "run"),
+        )
+        with pytest.raises(SolveFailed) as info:
+            run_solve(config)
+        assert info.value.status == status
+        assert info.value.paths == (tmp_path / "run_trajectory.csv",)
+        assert len(info.value.paths[0].read_text().splitlines()) == 10
+        assert not (tmp_path / "run_gradients.csv").exists()
+
 
 class TestCli:
     def test_table(self, tmp_path):
@@ -356,6 +379,40 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "sol_trajectory.csv").exists()
         assert (tmp_path / "sol_gradients.csv").exists()
+
+    @pytest.mark.parametrize("policy", ["none", "safe"])
+    def test_solve_non_finite_gradient_fails_in_one_line(self, tmp_path, policy):
+        # the overflowing decay problem of the sweep's non-finite-gradient test
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            'field = "polydecay"\ntheta = [0.0, 0.0, -4.0]\nx0 = [1.0]\nt_final = 2.0\n'
+            f'n = 64\nscheme = "rk4"\nfmt = "float16"\npolicy = "{policy}"\n'
+            f'out = {tmp_path / "sol"}\n'
+        )
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1] == "Error: solve failed: non-finite-gradient"
+        assert len((tmp_path / "sol_trajectory.csv").read_text().splitlines()) == 66
+        lines = (tmp_path / "sol_gradients.csv").read_text().splitlines()
+        grads = dict(line.split(",") for line in lines[1:])
+        assert not all(math.isfinite(float(grads[f"d_theta[{j}]"])) for j in range(3))
+
+    def test_solve_forward_blowup_writes_partial_trajectory(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            'field = "linear"\na_matrix = [[30.0]]\nx0 = [10000.0]\nt_final = 1.0\n'
+            f'n = 4\nscheme = "euler"\nfmt = "float16"\npolicy = "none"\n'
+            f'out = {tmp_path / "sol"}\n'
+        )
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines()[-1] == "Error: solve failed: non-finite-state-at-0"
+        lines = (tmp_path / "sol_trajectory.csv").read_text().splitlines()
+        assert lines == ["i,t,y0", "0,0,10000", "1,0.25,inf"]
+        assert not (tmp_path / "sol_gradients.csv").exists()
 
     def test_rejects_bad_choice(self, tmp_path):
         result = CliRunner().invoke(

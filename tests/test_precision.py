@@ -203,6 +203,125 @@ class TestRangeMonitor:
         assert mon.overflows == 2 and mon.underflows == 1
 
 
+def _reference_dot(a_row, b_row, fmt):
+    """Left-to-right dot of one row with its RangeMonitor counts.
+
+    Products and partial sums each round once: float16 with the integer
+    oracle, float32 through np.float32, bfloat16 with the integer oracle,
+    float64 not at all.  Counts follow RangeMonitor's definitions, and
+    float64 counts nothing because its rounding is the identity.
+    """
+    rnd = {
+        FLOAT16: round_float16, BFLOAT16: round_bfloat16,
+        FLOAT32: lambda x: float(np.float32(x)), FLOAT64: float,
+    }[fmt]
+    counts = [0, 0]
+
+    def round_counted(raw):
+        out = rnd(raw)
+        if fmt is not FLOAT64:
+            if math.isinf(out) and math.isfinite(raw):
+                counts[1] += 1
+            elif abs(out) < fmt.min_normal and (out != 0.0 or (raw != 0.0 and math.isfinite(raw))):
+                counts[0] += 1
+        return out
+
+    with np.errstate(all="ignore"):
+        prods = [round_counted(float(x) * float(y)) for x, y in zip(a_row, b_row)]
+        acc = prods[0]
+        for p in prods[1:]:
+            acc = round_counted(acc + p)
+    return acc, counts
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    if got.shape != want.shape:
+        return False
+    same = (np.isnan(got) & np.isnan(want)) | (got.view(np.uint64) == want.view(np.uint64))
+    return bool(same.all())
+
+
+def _check_dot(a, b, fmt):
+    """dot(a, b) against the row-by-row reference: bits, counts, return type."""
+    mon = RangeMonitor()
+    got = dot(a, b, fmt, mon)
+    a2, b2 = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    k = a2.shape[-1]
+    rows = [_reference_dot(ra, rb, fmt) for ra, rb in zip(a2.reshape(-1, k), b2.reshape(-1, k))]
+    want = np.array([r[0] for r in rows]).reshape(a2.shape[:-1])
+    assert _same_bits(got, want), (fmt.name, a, b, got, want)
+    assert mon.underflows == sum(r[1][0] for r in rows)
+    assert mon.overflows == sum(r[1][1] for r in rows)
+    if a2.ndim == 1 and a2.shape[-1] > 1:
+        assert type(got) is float
+    else:  # width 1 returns the rounded products' last axis: a 0-d array for 1-D inputs
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+
+
+ALL_FORMATS = pytest.mark.parametrize(
+    "fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=lambda f: f.name
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDotOracle:
+    @ALL_FORMATS
+    def test_random_rows_match_reference(self, fmt):
+        rng = np.random.default_rng(20261019)
+        top = {"float16": 16, "bfloat16": 120, "float32": 120, "float64": 1000}[fmt.name]
+        for _ in range(150):
+            k = int(rng.integers(1, 20))
+            lead = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(0, 3))))
+            a = np.ldexp(rng.standard_normal(lead + (k,)), int(rng.integers(-top - 20, top)))
+            b = np.ldexp(rng.standard_normal(k), int(rng.integers(-12, 8)))
+            if rng.random() < 0.1:
+                a.flat[int(rng.integers(a.size))] = rng.choice([np.inf, -np.inf, -0.0])
+            _check_dot(a, b, fmt)
+
+    @ALL_FORMATS
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [2048.0, 1.0],  # float16 tie, stays on the even 2048
+            [2050.0, 1.0],  # float16 tie, goes up to the even 2052
+            [2048.0, 1.0, 1.0, 1.0],  # every partial sum ties
+            [2048.0, 1.0 + 2.0**-10],  # just above the tie
+            [16777216.0, 1.0],  # float32 tie, stays on 2**24
+            [16777218.0, 1.0],  # float32 tie, goes up to 2**24 + 4
+            [2.0**-14, -(2.0**-14 - 2.0**-24)],  # cancels into the float16 subnormals
+            [2.0**-126, -(2.0**-126 - 2.0**-149)],  # cancels into the float32 subnormals
+            [1e-4, 1e-4, -1e-4],  # subnormal and zero partial sums
+            [60000.0, 10000.0],  # float16 overflow to +inf
+            [-60000.0, -10000.0],  # float16 overflow to -inf
+            [3e38, 1e38],  # float32 and bfloat16 overflow
+            [60000.0, 10000.0, -math.inf],  # inf + -inf -> nan
+            [math.inf, -math.inf, 1.0],
+            [-0.0, -0.0],  # -0.0 + -0.0 keeps its sign
+            [-0.0, 0.0],
+            [1e300, 1e300],  # float64 overflow
+        ],
+    )
+    def test_adversarial_rows(self, fmt, a):
+        _check_dot(np.array(a), np.ones(len(a)), fmt)
+        _check_dot(np.array([a, a[::-1]]), np.ones(len(a)), fmt)
+
+    @ALL_FORMATS
+    def test_batch_axis_matches_row_by_row(self, fmt):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 16, 17)) * 64.0
+        b = rng.standard_normal((3, 1, 17))
+        batch_mon = RangeMonitor()
+        got = dot(a, b, fmt, batch_mon)
+        assert got.shape == (3, 16)
+        row_mon = RangeMonitor()
+        for i in range(3):
+            for j in range(16):
+                assert _same_bits(got[i, j], dot(a[i, j], b[i, 0], fmt, row_mon))
+        assert batch_mon.underflows == row_mon.underflows
+        assert batch_mon.overflows == row_mon.overflows
+
+
 class TestRoundedOps:
     def test_add_rounds_once(self):
         # 2048 + 1 is exact in the carrier but rounds to 2048 in float16

@@ -6,6 +6,7 @@ import click
 
 from .runners import (
     SWEEP_PRESETS,
+    ConfigError,
     ExperimentConfig,
     SolveFailed,
     run_sgd_demo,
@@ -22,7 +23,10 @@ def main() -> None:
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
-@click.option("--steps", default=400, show_default=True, help="Number of integration steps.")
+@click.option(
+    "--steps", default=400, show_default=True, type=click.IntRange(min=1),
+    help="Number of integration steps.",
+)
 @click.option("--scheme", default="rk4", show_default=True, type=click.Choice(["euler", "rk4"]))
 def table(out: str, steps: int, scheme: str) -> None:
     """Error table of the decay benchmark across formats and policies."""
@@ -47,11 +51,14 @@ def table(out: str, steps: int, scheme: str) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int, out: str) -> None:
     """Relative errors vs the float64 same-scheme run across step counts."""
-    ns = [int(v) for v in n_list.split(",") if v.strip()]
+    ns = [v for v in n_list.split(",") if v.strip()]
     config = ExperimentConfig(
         **SWEEP_PRESETS[field], seed=seed, n=ns, scheme=scheme, fmt=fmt, policy=policy, out=out
     )
-    rows = run_sweep(config)
+    try:
+        rows = run_sweep(config)
+    except ConfigError as exc:
+        raise click.ClickException(f"config: {exc}") from None
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
@@ -81,11 +88,13 @@ def solve(config_path: str) -> None:
     """Forward and backward pass described by a key = value config file.
 
     A run that does not end `ok` writes what it computed, prints its status
-    on one line and exits with status 1.
+    on one line and exits with status 1. A config with a bad value prints
+    `Error: config: <key>: <reason>` and exits 1 before anything runs.
     """
-    config = ExperimentConfig.from_file(config_path)
     try:
-        paths = run_solve(config)
+        paths = run_solve(ExperimentConfig.from_file(config_path))
+    except ConfigError as exc:
+        raise click.ClickException(f"config: {exc}") from None
     except SolveFailed as exc:
         for p in exc.paths:
             click.echo(f"wrote {p}")

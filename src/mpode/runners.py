@@ -8,6 +8,7 @@ with the row's parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .precision import FLOAT32, FLOAT64, FloatFormat, get_format
 
 __all__ = [
     "ExperimentConfig",
+    "ConfigError",
     "ErrorRow",
     "SWEEP_PRESETS",
     "decay_benchmark",
@@ -48,6 +50,55 @@ SWEEP_PRESETS = {
     "polydecay": dict(field="polydecay", theta=(0.4, -1.1, 0.9), x0=(1.0,), t_final=2.0),
     "mlp": dict(field="mlp", widths=(2, 8, 8, 2), t_final=1.0),
 }
+
+
+class ConfigError(ValueError):
+    """A config value that cannot describe a run; the message names its key."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
+
+
+def _positive_int(key: str, value) -> int:
+    """A positive integer given as a JSON number or a decimal string."""
+    try:
+        n = int(value)
+        exact = not isinstance(value, bool) and n == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or n <= 0:
+        raise ConfigError(key, f"expected a positive integer, got {value!r}")
+    return n
+
+
+def _numbers(key: str, value, size: int | None = None) -> np.ndarray:
+    """A float64 array of finite numbers; a list of `size` of them if given."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ConfigError(key, f"expected finite numbers, got {value!r}")
+    if size is not None and arr.shape != (size,):
+        raise ConfigError(key, f"expected a list of length {size}, got {value!r}")
+    return arr
+
+
+def _named(key: str, parse, value):
+    """The object a name selects, e.g. `get_format` of a `fmt` value."""
+    if not isinstance(value, str):
+        raise ConfigError(key, f"expected a name, got {value!r}")
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
+def _grid(t_final, n: int) -> TimeGrid:
+    number = isinstance(t_final, (int, float)) and not isinstance(t_final, bool)
+    if not (number and 0 < t_final < math.inf):
+        raise ConfigError("t_final", f"expected a positive finite number, got {t_final!r}")
+    return TimeGrid.uniform(t_final, n)
 
 
 @dataclass
@@ -78,14 +129,16 @@ class ExperimentConfig:
 
     def n_list(self) -> list[int]:
         ns = self.n if isinstance(self.n, (list, tuple)) else [self.n]
-        return [int(v) for v in ns]
+        if not ns:
+            raise ConfigError("n", "expected at least one step count")
+        return [_positive_int("n", v) for v in ns]
 
 
 def parse_config(text: str) -> dict:
     """Parse `key = value` lines; values are JSON fragments, else strings.
 
     Blank lines and lines starting with `#` are skipped. Keys must be
-    ExperimentConfig fields.
+    ExperimentConfig fields; a malformed line raises ConfigError naming it.
     """
     known = set(ExperimentConfig.__dataclass_fields__)
     out: dict = {}
@@ -94,11 +147,11 @@ def parse_config(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected `key = value`, got {raw!r}")
+            raise ConfigError(f"line {lineno}", f"expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in known:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"line {lineno}", f"unknown config key {key!r}")
         value = value.strip()
         try:
             out[key] = json.loads(value)
@@ -164,34 +217,49 @@ def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
 
 
 def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None, np.ndarray]:
-    """Field, parameters, and initial state described by a config."""
-    name = config.field.lower()
+    """Field, parameters, and initial state described by a config.
+
+    A value that cannot describe them raises ConfigError naming its key.
+    """
+    name = config.field.lower() if isinstance(config.field, str) else None
     if name == "polydecay":
         field, params, x, _ = decay_benchmark()
         if config.theta is not None:
-            params = Params(np.asarray(config.theta, dtype=np.float64))
+            params = Params(_numbers("theta", config.theta, field.dim_params))
         if config.x0 is not None:
-            x = np.asarray(config.x0, dtype=np.float64)
+            x = _numbers("x0", config.x0, field.dim_state)
         return field, params, x
     if name == "linear":
-        a = np.asarray(config.a_matrix if config.a_matrix is not None else [[-1.0]], dtype=np.float64)
+        a = _numbers("a_matrix", [[-1.0]] if config.a_matrix is None else config.a_matrix)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ConfigError("a_matrix", f"expected a square matrix, got shape {a.shape}")
         field = LinearField(a)
-        x = np.asarray(config.x0 if config.x0 is not None else np.ones(field.dim_state), dtype=np.float64)
+        x = np.ones(field.dim_state)
+        if config.x0 is not None:
+            x = _numbers("x0", config.x0, field.dim_state)
         return field, None, x
     if name == "mlp":
-        field = MlpField(tuple(int(w) for w in config.widths))
+        widths = config.widths
+        if not isinstance(widths, (list, tuple)):
+            raise ConfigError("widths", f"expected a list of layer widths, got {widths!r}")
+        widths = tuple(_positive_int("widths", w) for w in widths)
+        if len(widths) < 2 or widths[0] != widths[-1]:
+            reason = f"expected at least two, the last equal to the first, got {list(widths)}"
+            raise ConfigError("widths", reason)
+        field = MlpField(widths)
         params = (
-            Params(np.asarray(config.theta, dtype=np.float64))
+            Params(_numbers("theta", config.theta, field.dim_params))
             if config.theta is not None
             else field.init_params(config.seed)
         )
         rng = np.random.default_rng(config.seed)
-        x = np.asarray(
-            config.x0 if config.x0 is not None else rng.standard_normal(field.dim_state),
-            dtype=np.float64,
+        x = (
+            _numbers("x0", config.x0, field.dim_state)
+            if config.x0 is not None
+            else rng.standard_normal(field.dim_state)
         )
         return field, params, x
-    raise ValueError(f"unknown field {config.field!r}")
+    raise ConfigError("field", f"expected polydecay, linear or mlp, got {config.field!r}")
 
 
 def _solve(
@@ -276,8 +344,8 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     backward yields infinite gradient-error entries and a non-ok status.
     """
     field, params, x, t_final = decay_benchmark()
-    n = int(config.n)
-    scheme = Scheme.from_name(config.scheme)
+    n = _positive_int("n", config.n)
+    scheme = _named("scheme", Scheme.from_name, config.scheme)
     grid = TimeGrid.uniform(t_final, n)
     y_ref = analytic_solution(t_final, float(x[0]), params.master)
     refs = (y_ref, *analytic_gradient(t_final, float(x[0]), params.master))
@@ -303,14 +371,14 @@ def run_sweep(config: ExperimentConfig) -> list[ErrorRow]:
     and fills all three theta columns.
     """
     field, params, x = build_field(config)
-    scheme = Scheme.from_name(config.scheme)
-    fmt = get_format(config.fmt)
-    policy = ScalingPolicy.from_name(config.policy)
+    scheme = _named("scheme", Scheme.from_name, config.scheme)
+    fmt = _named("fmt", get_format, config.fmt)
+    policy = _named("policy", ScalingPolicy.from_name, config.policy)
     objective = _terminal_objective()
 
     rows = []
     for n in config.n_list():
-        grid = TimeGrid.uniform(config.t_final, n)
+        grid = _grid(config.t_final, n)
         traj_ref = forward(scheme, field, x, grid, params, FLOAT64, FLOAT64)
         grads_ref = backward(
             scheme, field, traj_ref, params, objective, ScalingPolicy.unscaled(), FLOAT64, FLOAT64
@@ -442,10 +510,10 @@ def run_solve(config: ExperimentConfig) -> tuple[Path, Path] | None:
     raises SolveFailed with the status and the paths written.
     """
     field, params, x = build_field(config)
-    scheme = Scheme.from_name(config.scheme)
-    fmt_low = get_format(config.fmt)
-    policy = ScalingPolicy.from_name(config.policy)
-    grid = TimeGrid.uniform(config.t_final, int(config.n))
+    scheme = _named("scheme", Scheme.from_name, config.scheme)
+    fmt_low = _named("fmt", get_format, config.fmt)
+    policy = _named("policy", ScalingPolicy.from_name, config.policy)
+    grid = _grid(config.t_final, _positive_int("n", config.n))
     traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
     paths: tuple[Path, ...] = ()
     if config.out:

@@ -314,7 +314,8 @@ class TestOverflowHandling:
 
 
 class TestRangeCounts:
-    """Backward RangeMonitor counts per policy on the decay benchmark.
+    """RangeMonitor counts of the forward and backward sweeps on the decay
+    benchmark, and proof that attaching a monitor changes no result.
 
     RK4, N = 400, high format float32.  The monitor sees every quantization
     of the sweep, rescue probes included, so under `dynamic` the overflows
@@ -343,12 +344,26 @@ class TestRangeCounts:
     def test_counts_are_pinned(self, trajectories, fmt, policy, counts):
         field, params, traj = trajectories[fmt]
         monitor, trace = RangeMonitor(), BackwardTrace()
-        backward(
+        args = (
             Scheme.RK4, field, traj, params, terminal_objective(),
-            ScalingPolicy.from_name(policy), get_format(fmt), FLOAT32, monitor, trace,
+            ScalingPolicy.from_name(policy), get_format(fmt), FLOAT32,
         )
+        watched = backward(*args, monitor, trace)
         got = (monitor.underflows, monitor.overflows, trace.total_rescales, trace.doublings)
         assert got == counts
+        plain = backward(*args)
+        for name in ("d_x", "d_theta", "d_t"):
+            assert getattr(watched, name).tobytes() == getattr(plain, name).tobytes()
+
+    @pytest.mark.parametrize("fmt, counts", [("float16", (8, 0)), ("bfloat16", (0, 0))])
+    def test_forward_counts_are_pinned(self, trajectories, fmt, counts):
+        field, params, plain = trajectories[fmt]
+        monitor = RangeMonitor()
+        x = decay_benchmark()[2]
+        watched = forward(Scheme.RK4, field, x, plain.grid, params, get_format(fmt), FLOAT32, monitor)
+        assert (monitor.underflows, monitor.overflows) == counts
+        assert watched.states.tobytes() == plain.states.tobytes()
+        assert watched.final_hp.tobytes() == plain.final_hp.tobytes()
 
 
 class TestRoundingCallCount:

@@ -414,6 +414,40 @@ class TestCli:
         assert lines == ["i,t,y0", "0,0,10000", "1,0.25,inf"]
         assert not (tmp_path / "sol_gradients.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("field = 3", "field"),
+            ("n = 0", "n"),
+            ("t_final = -1", "t_final"),
+            ("theta = [1.0]", "theta"),
+            ("x0 = [1.0, 2.0]", "x0"),
+            ('field = "linear"\na_matrix = [[1.0, 2.0]]', "a_matrix"),
+            ('field = "mlp"\nwidths = [2, 4, 3]', "widths"),
+            ('n = "abc"', "n"),
+            ('scheme = "rk45"', "scheme"),
+            ('fmt = "float8"', "fmt"),
+            ("policy = 3", "policy"),
+            ("bogus = 1", "line 1"),
+        ],
+    )
+    def test_solve_bad_config_fails_in_one_line(self, tmp_path, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{text}\nout = {tmp_path / 'sol'}\n")
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: config: {key}: ")
+        assert len(result.output.splitlines()) == 1
+        assert not list(tmp_path.glob("sol_*"))
+
+    def test_sweep_bad_step_count_fails_in_one_line(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = CliRunner().invoke(main, ["sweep", "--n", "16,abc", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "Error: config: n: expected a positive integer, got 'abc'\n"
+        assert not out.exists()
+
     def test_rejects_bad_choice(self, tmp_path):
         result = CliRunner().invoke(
             main, ["sweep", "--n", "16", "--scheme", "rk45", "--out", str(tmp_path / "x.csv")]

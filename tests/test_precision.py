@@ -23,6 +23,7 @@ from mpode.precision import (
     quantize,
     sub,
 )
+from mpode.precision import _SMALL
 
 from _oracles import round_bfloat16, round_float16, round_float32
 
@@ -64,13 +65,15 @@ class TestQuantizeExact:
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_scalar_path_matches_array_path(self, fmt, oracle):
+        # One array of 2,000 takes the vectorised path; a 1-element array
+        # would take the same per-element path as the scalar.
         rng = np.random.default_rng(7)
         m = rng.standard_normal(2_000)
         e = rng.integers(-45, 45, size=2_000)
-        for v in np.ldexp(m, e):
-            s = quantize(float(v), fmt)
-            a = float(quantize(np.array([v]), fmt)[0])
-            assert s == a == oracle(float(v))
+        x = np.ldexp(m, e)
+        for v, a in zip(x.tolist(), quantize(x, fmt).tolist()):
+            s = quantize(v, fmt)
+            assert s == a == oracle(v)
             assert isinstance(s, float)
 
     def test_derived_values(self):
@@ -203,6 +206,75 @@ class TestRangeMonitor:
         assert mon.overflows == 2 and mon.underflows == 1
 
 
+def _count_range(raw: float, out: float, fmt, counts: list) -> None:
+    """RangeMonitor's rules for one rounding, added to [underflows, overflows]."""
+    if math.isinf(out) and math.isfinite(raw):
+        counts[1] += 1
+    elif abs(out) < fmt.min_normal and (out != 0.0 or (raw != 0.0 and math.isfinite(raw))):
+        counts[0] += 1
+
+
+SMALL_FORMATS = pytest.mark.parametrize(
+    "fmt,oracle",
+    [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16), (FLOAT32, round_float32)],
+    ids=["float16", "bfloat16", "float32"],
+)
+
+
+def _edge_values(fmt) -> list[float]:
+    """Signed zeros, infinities, NaN, range boundaries and ties of `fmt`."""
+    half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
+    tiny = fmt.min_subnormal
+    ties = [1.0 + half_ulp, 1.0 + 3.0 * half_ulp, -(1.0 + half_ulp), tiny / 2, 1.5 * tiny, -tiny / 2]
+    bounds = [fmt.min_normal, -fmt.min_normal, fmt.max_finite, -fmt.max_finite]
+    bounds += [2.0**-126, 2.0**-133, 2.0**-134, 3.3895e38, 1e39, 65520.0, -65520.0]
+    return [0.0, -0.0, math.inf, -math.inf, math.nan] + bounds + ties
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSmallInputPaths:
+    """Inputs of at most `_SMALL` elements round and range-check one element
+    at a time in Python; sizes up to `_SMALL + 2` also cover the array path."""
+
+    @SMALL_FORMATS
+    def test_arrays_match_oracle_and_counts(self, fmt, oracle):
+        rng = np.random.default_rng(20261019)
+        edges = _edge_values(fmt)
+        for k in range(_SMALL + 3):
+            for shape in [(k,), (1, k), (k, 1)] + ([()] if k == 1 else []):
+                for _ in range(40):
+                    x = np.ldexp(rng.standard_normal(k), rng.integers(-155, 135, size=k))
+                    pick = rng.random(k) < 0.5
+                    x[pick] = rng.choice(edges, size=int(pick.sum()))
+                    x = x.reshape(shape)
+                    mon = RangeMonitor()
+                    got = quantize(x, fmt, mon)
+                    counts = [0, 0]
+                    want = []
+                    for v in x.ravel().tolist():
+                        want.append(oracle(v))
+                        _count_range(v, want[-1], fmt, counts)
+                    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                    assert _same_bits(got, np.array(want).reshape(shape)), (fmt.name, x, got)
+                    assert [mon.underflows, mon.overflows] == counts, (fmt.name, x)
+
+    @SMALL_FORMATS
+    def test_scalars_match_oracle_and_counts(self, fmt, oracle):
+        for v in _edge_values(fmt) + [1.0, -3.0e-6, 7.0e4, 1.0e-30]:
+            want = oracle(v)
+            counts = [0, 0]
+            _count_range(v, want, fmt, counts)
+            for x in (v, np.array(v)):
+                mon = RangeMonitor()
+                got = quantize(x, fmt, mon)
+                if isinstance(x, float):
+                    assert type(got) is float
+                else:  # a 0-d array stays a 0-d float64 array in every format
+                    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+                assert _same_bits(got, want), (fmt.name, v, got)
+                assert [mon.underflows, mon.overflows] == counts, (fmt.name, v)
+
+
 def _reference_dot(a_row, b_row, fmt):
     """Left-to-right dot of one row with its RangeMonitor counts.
 
@@ -220,10 +292,7 @@ def _reference_dot(a_row, b_row, fmt):
     def round_counted(raw):
         out = rnd(raw)
         if fmt is not FLOAT64:
-            if math.isinf(out) and math.isfinite(raw):
-                counts[1] += 1
-            elif abs(out) < fmt.min_normal and (out != 0.0 or (raw != 0.0 and math.isfinite(raw))):
-                counts[0] += 1
+            _count_range(raw, out, fmt, counts)
         return out
 
     with np.errstate(all="ignore"):
@@ -253,9 +322,9 @@ def _check_dot(a, b, fmt):
     assert _same_bits(got, want), (fmt.name, a, b, got, want)
     assert mon.underflows == sum(r[1][0] for r in rows)
     assert mon.overflows == sum(r[1][1] for r in rows)
-    if a2.ndim == 1 and a2.shape[-1] > 1:
+    if a2.ndim == 1:
         assert type(got) is float
-    else:  # width 1 returns the rounded products' last axis: a 0-d array for 1-D inputs
+    else:
         assert isinstance(got, np.ndarray) and got.dtype == np.float64
 
 

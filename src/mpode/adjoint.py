@@ -20,6 +20,13 @@ Every contribution is divided by the scale used, so the scale never changes
 the represented gradient, only which region of the format it flows through.
 Power-of-two scaling is exact while no quantization leaves the normal range,
 which is what makes the whole scheme bit-reproducible.
+
+A batched trajectory (states `(n + 1, B, dim)`) runs one reverse sweep for
+all rows: the adjoint a and d_x are `(B, dim)`, d_theta is `(B, n_params)`
+and d_t is `(n + 1, B)`, and each row is bit-identical to its own sweep.
+Under `safe`, a non-finite pullback in any row makes the whole batch's
+d_theta infinite.  `dynamic` takes one row: its scale, its rescues and their
+retries belong to a single adjoint, so B > 1 raises ValueError.
 """
 from __future__ import annotations
 
@@ -120,13 +127,20 @@ class ScalingPolicy:
 
 @dataclass
 class Gradients:
-    """d_x: gradient wrt the initial state; d_t: per-node time gradient."""
+    """d_x: gradient wrt the initial state; d_t: per-node time gradient.
+
+    Shapes are `(dim,)`, `(n_params,)` and `(n + 1,)`, or `(B, dim)`,
+    `(B, n_params)` and `(n + 1, B)` for a batch.
+    """
 
     d_x: np.ndarray
     d_theta: np.ndarray
     d_t: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
+        """One line per component; batched gradients raise ValueError."""
+        if self.d_x.ndim != 1:
+            raise ValueError(f"to_csv writes one gradient, not a batch of {self.d_x.shape[0]}")
         lines = ["component,value"]
         for name, vec in (("d_x", self.d_x), ("d_theta", self.d_theta), ("d_t", self.d_t)):
             for j, v in enumerate(vec):
@@ -193,9 +207,11 @@ def backward(
     trace: BackwardTrace | None = None,
     scale_multiplier: float = 1.0,
 ) -> Gradients:
-    """Reverse sweep over a stored trajectory.
+    """Reverse sweep over a stored trajectory, one row or a batch.
 
-    Exactly n_steps * scheme.stages field evaluations are performed no
+    Batched shapes are in the module docstring; `dynamic` with a batch of
+    more than one row raises ValueError before any work.  Exactly
+    n_steps * scheme.stages field evaluations are performed no
     matter how many rescale attempts happen: retries reuse the step tape.
     `scale_multiplier` (a power of two) shifts the whole scale sequence and
     exists for bit-exactness instrumentation.  Rescue probes push
@@ -204,15 +220,19 @@ def backward(
     """
     dynamic = policy.kind is PolicyKind.DYNAMIC
     safe = policy.kind is PolicyKind.UNSCALED_SAFE
+    states = traj.states
+    lead = states.shape[1:-1]  # (B,) for a batch
+    if dynamic and states.ndim == 3 and states.shape[1] > 1:
+        raise ValueError(f"the dynamic policy takes one row, got a batch of {states.shape[1]}")
     theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
     t = traj.grid.t
     n = traj.grid.n_steps
-    states = traj.states
     w = trapezoid_weights(traj.grid)
 
-    a = quantize(np.asarray(objective.terminal_grad(states[n]), dtype=np.float64).reshape(-1), fmt_high)
-    g = np.zeros(field.dim_params)
-    tgrad = np.zeros(n + 1)
+    a = np.asarray(objective.terminal_grad(states[n]), dtype=np.float64).reshape(states[n].shape)
+    a = quantize(a, fmt_high)
+    g = np.zeros((*lead, field.dim_params))
+    tgrad = np.zeros((n + 1, *lead))
     running = objective.running
     if running is not None:
         ry = quantize(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
@@ -244,7 +264,7 @@ def backward(
         else:
             raise ExhaustedRescale(i)
         if safe and not v.finite():
-            return Gradients(a, np.full(field.dim_params, np.inf), tgrad)
+            return Gradients(a, np.full((*lead, field.dim_params), np.inf), tgrad)
         if dynamic and trace is not None:
             trace.scales.append(scale)
             trace.rescale_counts.append(attempts - 1)
@@ -256,10 +276,10 @@ def backward(
         # once the scale has grown large, so each contribution is formed
         # exactly and rounded once on the way into the accumulator.
         hs = float(h) / scale
-        phi_a = float(dot(tape.increment, a, fmt_high))
-        u = mul(hs, float(v.dt) - float(v.dh), fmt_high)
+        phi_a = dot(tape.increment, a, fmt_high)
+        u = mul(hs, v.dt - v.dh, fmt_high)
         tgrad[i] = sub(add(tgrad[i], u, fmt_high), phi_a, fmt_high)
-        tgrad[i + 1] = add(add(tgrad[i + 1], mul(hs, float(v.dh), fmt_high), fmt_high), phi_a, fmt_high)
+        tgrad[i + 1] = add(add(tgrad[i + 1], mul(hs, v.dh, fmt_high), fmt_high), phi_a, fmt_high)
         if running is not None:
             ry = quantize(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
             a = add(a, mul(w[i], ry, fmt_high), fmt_high)
@@ -289,7 +309,7 @@ def backward(
     if trace is not None:
         trace.scales.reverse()
         trace.rescale_counts.reverse()
-    return Gradients(np.asarray(a, dtype=np.float64).reshape(-1), np.asarray(g), tgrad)
+    return Gradients(np.asarray(a, dtype=np.float64), np.asarray(g), tgrad)
 
 
 def objective_value(objective: Objective, traj: Trajectory, theta: np.ndarray) -> float:

@@ -63,7 +63,10 @@ def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int
 
 
 @main.command("sgd-demo")
-@click.option("--steps", default=500, show_default=True, help="Number of SGD iterations.")
+@click.option(
+    "--steps", default=500, show_default=True, type=click.IntRange(min=1),
+    help="Number of SGD iterations.",
+)
 @click.option(
     "--fmt",
     default="float16",
@@ -74,8 +77,14 @@ def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int
 @click.option("--lr", default=0.05, show_default=True, help="Learning rate.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 def sgd_demo(steps: int, fmt: str, seed: int, lr: float, out: str) -> None:
-    """Train an MLP field against a linear teacher with loss scaling."""
-    result = run_sgd_demo(ExperimentConfig(fmt=fmt, seed=seed, steps=steps, lr=lr, out=out))
+    """Train an MLP field against a linear teacher with loss scaling.
+
+    A bad value prints `Error: config: <key>: <reason>` and exits 1.
+    """
+    try:
+        result = run_sgd_demo(ExperimentConfig(fmt=fmt, seed=seed, steps=steps, lr=lr, out=out))
+    except ConfigError as exc:
+        raise click.ClickException(f"config: {exc}") from None
     click.echo(f"wrote {len(result.rows)} rows to {out}")
     click.echo(f"final loss (float64 eval): {result.final_loss:.6g}")
 

@@ -9,6 +9,13 @@ the forward op order exactly and round every primitive in the same format.
 the recorded activations; calling the pullback repeatedly with different
 cotangents does not re-evaluate the field.  That is what makes per-step
 adjoint rescaling cheap.
+
+`LinearField` and `MlpField` also take a batch of states `(B, dim)` and
+evaluate and pull back every row at once: their matrix-vector products are
+`dot(w, v[..., None, :])`, which broadcasts over the leading axis and rounds
+each row exactly as alone.  Their pullbacks then return `(B, ...)` arrays
+(`dt` is `(B,)`, or a shared 0.0 for `LinearField`).  `PolyDecayField`
+takes one state.
 """
 from __future__ import annotations
 
@@ -109,6 +116,8 @@ class PolyDecayField(VelocityField):
     dim_params = 3
 
     def _linearize(self, t, y, theta, fmt, monitor):
+        if y.ndim != 1:
+            raise ValueError("PolyDecayField takes one state, not a batch")
         th1, th2, th3 = map(float, theta)
         y0 = float(y[0])
         tq = quantize(float(t), fmt, monitor)
@@ -148,10 +157,10 @@ class LinearField(VelocityField):
 
     def _linearize(self, t, y, theta, fmt, monitor):
         aq = quantize(self.a_matrix, fmt, monitor)
-        f = np.atleast_1d(dot(aq, y, fmt, monitor))
+        f = dot(aq, y[..., None, :], fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
-            da = np.atleast_1d(dot(aq.T, cotangent, fmt, monitor))
+            da = dot(aq.T, cotangent[..., None, :], fmt, monitor)
             return FieldVjp(da, 0.0, np.zeros(0))
 
         return f, pull
@@ -201,15 +210,20 @@ class MlpField(VelocityField):
         layers = self._layers(theta)
         last = len(layers) - 1
         # vs[l] is the input of layer l, which for l > 0 is the tanh output
-        # of layer l - 1; vs[-1] is the field value.
-        vs = [np.concatenate([y, [quantize(float(t), fmt, monitor)]])]
+        # of layer l - 1; vs[-1] is the field value.  Every row reads the
+        # same rounded t.
+        lead = y.shape[:-1]
+        v0 = np.empty((*lead, self.dim_state + 1))
+        v0[..., :-1] = y
+        v0[..., -1] = quantize(float(t), fmt, monitor)
+        vs = [v0]
         for l, (w, b) in enumerate(layers):
-            z = add(dot(w, vs[l], fmt, monitor), b, fmt, monitor)
+            z = add(dot(w, vs[l][..., None, :], fmt, monitor), b, fmt, monitor)
             vs.append(tanh(z, fmt, monitor) if l < last else z)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
             c = np.asarray(cotangent, dtype=np.float64)
-            dtheta = np.empty(self.dim_params)
+            dtheta = np.empty((*lead, self.dim_params))
             pos = self.dim_params
             for l in range(last, -1, -1):
                 w, _ = layers[l]
@@ -219,12 +233,12 @@ class MlpField(VelocityField):
                     c = mul(c, gate, fmt, monitor)
                 out_d, in_d = self._shapes[l]
                 pos -= out_d
-                dtheta[pos : pos + out_d] = c
-                dw = mul(c[:, None], vs[l][None, :], fmt, monitor)
+                dtheta[..., pos : pos + out_d] = c
+                dw = mul(c[..., :, None], vs[l][..., None, :], fmt, monitor)
                 pos -= out_d * in_d
-                dtheta[pos : pos + out_d * in_d] = dw.ravel()
-                c = np.atleast_1d(dot(w.T, c, fmt, monitor))
-            return FieldVjp(c[: self.dim_state], float(c[self.dim_state]), dtheta)
+                dtheta[..., pos : pos + out_d * in_d] = dw.reshape(*lead, -1)
+                c = dot(w.T, c[..., None, :], fmt, monitor)
+            return FieldVjp(c[..., : self.dim_state], c[..., self.dim_state], dtheta)
 
         return vs[-1], pull
 

@@ -12,10 +12,18 @@ forward increment and the backward step tape, so the recomputed increment
 is bit-identical to the forward one by construction; the tape's pullback
 is derived from the same tableau (Griewank & Walther, Evaluating
 Derivatives, ch. 3).
+
+A minibatch runs as one solve.  The initial state is `(dim,)` or `(B, dim)`
+with a leading batch axis; the stored states are then `(n + 1, dim)` or
+`(n + 1, B, dim)`, and every stage value and step cotangent carries the same
+leading axis.  Each rounded op works elementwise, and `dot` sums along the
+last axis only, so every row of a batch is bit-identical to its run alone.
+Time, step size and the parameters are shared by all rows.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -126,12 +134,15 @@ class TimeGrid:
 @dataclass
 class Trajectory:
     grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, dim) low-precision stored states
-    final_hp: np.ndarray  # high-precision accumulator at the last node
+    states: np.ndarray  # (n_steps + 1, [B,] dim) low-precision stored states
+    final_hp: np.ndarray  # ([B,] dim) high-precision accumulator at the last node
     fmt_low: FloatFormat
     fmt_high: FloatFormat
 
     def to_csv(self, path: str | Path) -> None:
+        """One line per node; a batched trajectory raises ValueError."""
+        if self.states.ndim != 2:
+            raise ValueError(f"to_csv writes one trajectory, not a batch of {self.states.shape[1]}")
         dim = self.states.shape[1]
         lines = ["i,t," + ",".join(f"y{j}" for j in range(dim))]
         for i, t in enumerate(self.grid.t[: self.states.shape[0]]):
@@ -205,16 +216,22 @@ def forward(
 ) -> Trajectory:
     """Integrate from x over the grid; raises NonFiniteState on blow-up.
 
-    The exception carries the partial trajectory for inspection.
+    x is one state `(dim,)` or a batch `(B, dim)`; a non-finite value in any
+    row stops the whole batch.  The exception carries the partial
+    trajectory for inspection.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != field.dim_state:
-        raise ValueError(f"initial state has size {x.size}, field wants {field.dim_state}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        x = x.reshape(-1)
+    if x.shape[-1] != field.dim_state or x.size == 0:
+        raise ValueError(
+            f"initial state has shape {x.shape}, field wants ({field.dim_state},) or (B, {field.dim_state})"
+        )
     theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
     t = grid.t
     n = grid.n_steps
     y = quantize(x, fmt_high)
-    states = np.empty((n + 1, x.size))
+    states = np.empty((n + 1, *x.shape))
     states[0] = quantize(y, fmt_low)
     # Overflow to inf is the documented rounding behaviour and blow-up is
     # detected explicitly below, so numpy's FP warnings are noise here.
@@ -233,20 +250,30 @@ def forward(
     return Trajectory(grid, states, np.asarray(y), fmt_low, fmt_high)
 
 
+def _all_finite(x) -> bool:
+    # A float takes the plain scalar check: the decay problems make one per step.
+    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
+
+
 class StepVjp(NamedTuple):
-    """Cotangents of one increment map: covector times d(increment)/d(input)."""
+    """Cotangents of one increment map: covector times d(increment)/d(input).
+
+    For a batch, da is `(B, dim)`, dtheta `(B, n_params)`, and dt and dh
+    are `(B,)`, or a float where the value is shared by every row.
+    """
 
     da: np.ndarray
-    dt: float
-    dh: float
+    dt: float | np.ndarray
+    dh: float | np.ndarray
     dtheta: np.ndarray
 
     def finite(self) -> bool:
+        """Every value of every row is finite."""
         return (
-            bool(np.all(np.isfinite(self.da)))
-            and np.isfinite(self.dt)
-            and np.isfinite(self.dh)
-            and bool(np.all(np.isfinite(self.dtheta)))
+            _all_finite(self.dt)
+            and _all_finite(self.dh)
+            and _all_finite(self.da)
+            and _all_finite(self.dtheta)
         )
 
 
@@ -254,9 +281,10 @@ class StepVjp(NamedTuple):
 class StepTape:
     """Recorded stage values of one step, reusable across cotangents.
 
-    `pullback(cotangent, monitor=None)` takes a float64 array and applies
-    the reverse sweep without re-evaluating the field, so a rescale loop can
-    retry with a halved cotangent at no field-eval cost.
+    `pullback(cotangent, monitor=None)` takes a float64 array shaped like
+    the step's state and applies the reverse sweep without re-evaluating
+    the field, so a rescale loop can retry with a halved cotangent at no
+    field-eval cost.
     """
 
     increment: np.ndarray
@@ -304,8 +332,9 @@ def build_step_tape(
         dh = None
         for i, j, coef in tab.dh_terms:
             v = gs[i].dt if j is None else dot(ks[j], gs[i].da, fmt, monitor)
-            v = float(v) if coef == 1.0 else mul(coef, v, fmt, monitor)
+            if coef != 1.0:
+                v = mul(coef, v, fmt, monitor)
             dh = v if dh is None else add(dh, v, fmt, monitor)
-        return StepVjp(da, float(dt), 0.0 if dh is None else float(dh), dtheta)
+        return StepVjp(da, dt, 0.0 if dh is None else dh, dtheta)
 
     return StepTape(dy, pullback)

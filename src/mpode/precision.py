@@ -193,7 +193,7 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
         # In-range casts cannot overflow, so this path never warns.
         return float(native(x))
     if x != x:
-        return math.nan
+        return math.copysign(math.nan, x)
     if x == 0.0 or math.isinf(x):
         return x
     _, e = math.frexp(x)
@@ -228,9 +228,10 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     """Round to the nearest value representable in `fmt`, ties to even.
 
     Scalars map to python floats, everything else to float64 ndarrays whose
-    elements are representable in `fmt`.  NaN payloads are not preserved,
-    signed zero is.  float64 is a passthrough (the carrier itself); the
-    result may then alias the input.
+    elements are representable in `fmt`.  Signed zero is preserved, and a
+    NaN keeps the input's sign on every path (so a batch row rounds like
+    the same values alone), though not necessarily its payload.  float64 is
+    a passthrough (the carrier itself); the result may then alias the input.
     """
     if fmt.mantissa_bits >= 52:
         if isinstance(x, (float, int)):

@@ -59,16 +59,30 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {reason}")
 
 
-def _positive_int(key: str, value) -> int:
-    """A positive integer given as a JSON number or a decimal string."""
+def _integer(key: str, value, minimum: int = 1) -> int:
+    """An integer >= `minimum` (1 or 0), given as a JSON number or a decimal string."""
     try:
         n = int(value)
         exact = not isinstance(value, bool) and n == float(value)
     except (TypeError, ValueError, OverflowError):
         exact = False
-    if not exact or n <= 0:
-        raise ConfigError(key, f"expected a positive integer, got {value!r}")
+    if not exact or n < minimum:
+        kind = "positive" if minimum > 0 else "non-negative"
+        raise ConfigError(key, f"expected a {kind} integer, got {value!r}")
     return n
+
+
+def _finite(key: str, value, positive: bool = True) -> float:
+    """A finite JSON number, > 0, or >= 0 unless `positive`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond float64
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigError(key, f"expected a {kind} finite number, got {value!r}")
+    return x
 
 
 def _numbers(key: str, value, size: int | None = None) -> np.ndarray:
@@ -95,10 +109,7 @@ def _named(key: str, parse, value):
 
 
 def _grid(t_final, n: int) -> TimeGrid:
-    number = isinstance(t_final, (int, float)) and not isinstance(t_final, bool)
-    if not (number and 0 < t_final < math.inf):
-        raise ConfigError("t_final", f"expected a positive finite number, got {t_final!r}")
-    return TimeGrid.uniform(t_final, n)
+    return TimeGrid.uniform(_finite("t_final", t_final), n)
 
 
 @dataclass
@@ -131,7 +142,7 @@ class ExperimentConfig:
         ns = self.n if isinstance(self.n, (list, tuple)) else [self.n]
         if not ns:
             raise ConfigError("n", "expected at least one step count")
-        return [_positive_int("n", v) for v in ns]
+        return [_integer("n", v) for v in ns]
 
 
 def parse_config(text: str) -> dict:
@@ -216,6 +227,17 @@ def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref))) / denom
 
 
+def _mlp(widths) -> MlpField:
+    """The MlpField of a `widths` config value."""
+    if not isinstance(widths, (list, tuple)):
+        raise ConfigError("widths", f"expected a list of layer widths, got {widths!r}")
+    widths = tuple(_integer("widths", w) for w in widths)
+    if len(widths) < 2 or widths[0] != widths[-1]:
+        reason = f"expected at least two, the last equal to the first, got {list(widths)}"
+        raise ConfigError("widths", reason)
+    return MlpField(widths)
+
+
 def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None, np.ndarray]:
     """Field, parameters, and initial state described by a config.
 
@@ -239,20 +261,14 @@ def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None,
             x = _numbers("x0", config.x0, field.dim_state)
         return field, None, x
     if name == "mlp":
-        widths = config.widths
-        if not isinstance(widths, (list, tuple)):
-            raise ConfigError("widths", f"expected a list of layer widths, got {widths!r}")
-        widths = tuple(_positive_int("widths", w) for w in widths)
-        if len(widths) < 2 or widths[0] != widths[-1]:
-            reason = f"expected at least two, the last equal to the first, got {list(widths)}"
-            raise ConfigError("widths", reason)
-        field = MlpField(widths)
+        field = _mlp(config.widths)
+        seed = _integer("seed", config.seed, minimum=0)
         params = (
             Params(_numbers("theta", config.theta, field.dim_params))
             if config.theta is not None
-            else field.init_params(config.seed)
+            else field.init_params(seed)
         )
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         x = (
             _numbers("x0", config.x0, field.dim_state)
             if config.x0 is not None
@@ -344,7 +360,7 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     backward yields infinite gradient-error entries and a non-ok status.
     """
     field, params, x, t_final = decay_benchmark()
-    n = _positive_int("n", config.n)
+    n = _integer("n", config.n)
     scheme = _named("scheme", Scheme.from_name, config.scheme)
     grid = TimeGrid.uniform(t_final, n)
     y_ref = analytic_solution(t_final, float(x[0]), params.master)
@@ -420,65 +436,70 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     task is exactly representable by the discrete training objective. The
     training pass runs in config.fmt with loss scaling and the UnscaledSafe
     backward; the reported loss is always evaluated in float64 on the master
-    weights.
+    weights.  Each minibatch runs as one batched solve per pass (teacher,
+    loss, training forward and backward); every row is bit-identical to its
+    own solve.  A bad config value raises ConfigError before anything runs.
     """
-    fmt_low = get_format(config.fmt)
+    fmt_low = _named("fmt", get_format, config.fmt)
+    student = _mlp(config.widths)
+    seed = _integer("seed", config.seed, minimum=0)
+    steps = _integer("steps", config.steps)
+    batch = _integer("batch", config.batch)
+    lr = _finite("lr", config.lr)
+    loss_scale = _finite("loss_scale", config.loss_scale)
+    weight_decay = _finite("weight_decay", config.weight_decay, positive=False)
     scheme = Scheme.EULER
     n_steps = 16
     grid = TimeGrid.uniform(1.0, n_steps)
     teacher = _spiral_teacher()
-    student = MlpField(tuple(int(w) for w in config.widths))
-    params = student.init_params(config.seed)
-    rng = np.random.default_rng(config.seed + 1)
+    params = student.init_params(seed)
+    rng = np.random.default_rng(seed + 1)
     policy = ScalingPolicy.unscaled_safe()
 
-    def teacher_target(x0: np.ndarray) -> np.ndarray:
-        traj = forward(scheme, teacher, x0, grid, None, FLOAT64, FLOAT64)
-        return traj.states[-1].copy()
+    def teacher_targets(xs: np.ndarray) -> np.ndarray:
+        return forward(scheme, teacher, xs, grid, None, FLOAT64, FLOAT64).states[-1]
 
-    def batch_loss(p: Params, xs, targets) -> float:
+    def batch_loss(p: Params, xs: np.ndarray, targets: np.ndarray) -> float:
+        final = forward(scheme, student, xs, grid, p, FLOAT64, FLOAT64).states[-1]
         total = 0.0
-        for x0, target in zip(xs, targets):
-            traj = forward(scheme, student, x0, grid, p, FLOAT64, FLOAT64)
-            total += 0.5 * float(np.sum((traj.states[-1] - target) ** 2))
+        for y, target in zip(final, targets):
+            total += 0.5 * float(np.sum((y - target) ** 2))
         return total / len(xs)
 
     def scaled_batch_grad(p: Params, scale: float, fmt: FloatFormat, xs, targets) -> np.ndarray:
+        objective = Objective(
+            terminal=lambda y: scale * 0.5 * float(np.sum((y - targets) ** 2)),
+            terminal_grad=lambda y: scale * (np.asarray(y, dtype=np.float64) - targets),
+        )
+        try:
+            traj = forward(scheme, student, xs, grid, p, fmt, _high_format(fmt))
+        except NonFiniteState:
+            return np.full(student.dim_params, np.inf)
+        grads = backward(scheme, student, traj, p, objective, policy, fmt, _high_format(fmt))
+        # Rows sum left to right in float64, as separate solves would.
         total = np.zeros(student.dim_params)
-        for x0, target in zip(xs, targets):
-            objective = Objective(
-                terminal=lambda y, t=target: scale * 0.5 * float(np.sum((y - t) ** 2)),
-                terminal_grad=lambda y, t=target: scale * (np.asarray(y, dtype=np.float64) - t),
-            )
-            try:
-                traj = forward(scheme, student, x0, grid, p, fmt, _high_format(fmt))
-            except NonFiniteState:
-                return np.full(student.dim_params, np.inf)
-            grads = backward(
-                scheme, student, traj, p, objective, policy, fmt, _high_format(fmt)
-            )
-            total = total + grads.d_theta
+        for row in grads.d_theta:
+            total = total + row
         return total / len(xs)
 
     # Fixed probe set, independent of the training stream: final_loss is
     # deterministic and comparable across formats run with the same seed.
-    probe_rng = np.random.default_rng(config.seed + 2)
-    probe_xs = [probe_rng.standard_normal(student.dim_state) for _ in range(16)]
-    probe_targets = [teacher_target(x0) for x0 in probe_xs]
+    probe_rng = np.random.default_rng(seed + 2)
+    probe_xs = np.array([probe_rng.standard_normal(student.dim_state) for _ in range(16)])
+    probe_targets = teacher_targets(probe_xs)
 
     rows = []
-    loss_scale = float(config.loss_scale)
     streak = 0
-    for it in range(int(config.steps)):
-        xs = [rng.standard_normal(student.dim_state) for _ in range(int(config.batch))]
-        targets = [teacher_target(x0) for x0 in xs]
+    for it in range(steps):
+        xs = np.array([rng.standard_normal(student.dim_state) for _ in range(batch)])
+        targets = teacher_targets(xs)
         loss = batch_loss(params, xs, targets)
         result = sgd_step(
             params,
             lambda p, s, f: scaled_batch_grad(p, s, f, xs, targets),
-            lr=float(config.lr),
+            lr=lr,
             loss_scale=loss_scale,
-            weight_decay=float(config.weight_decay),
+            weight_decay=weight_decay,
             fmt_low=fmt_low,
             streak=streak,
         )
@@ -513,7 +534,7 @@ def run_solve(config: ExperimentConfig) -> tuple[Path, Path] | None:
     scheme = _named("scheme", Scheme.from_name, config.scheme)
     fmt_low = _named("fmt", get_format, config.fmt)
     policy = _named("policy", ScalingPolicy.from_name, config.policy)
-    grid = _grid(config.t_final, _positive_int("n", config.n))
+    grid = _grid(config.t_final, _integer("n", config.n))
     traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
     paths: tuple[Path, ...] = ()
     if config.out:

@@ -28,6 +28,8 @@ from mpode.oracles import fd_gradient
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, get_format
 from mpode.runners import decay_benchmark
 
+from test_integrate import batch_problem, high_format
+
 
 def terminal_objective(factor=1.0):
     return Objective(
@@ -364,6 +366,92 @@ class TestRangeCounts:
         assert (monitor.underflows, monitor.overflows) == counts
         assert watched.states.tobytes() == plain.states.tobytes()
         assert watched.final_hp.tobytes() == plain.final_hp.tobytes()
+
+
+class TestBatch:
+    """One batched reverse sweep against each row's own sweep, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("field_name", ["linear", "mlp"])
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
+    @pytest.mark.parametrize("policy", ["none", "safe"])
+    def test_each_row_is_its_own_backward(self, batch, scheme, field_name, fmt, policy):
+        field, params, xs = batch_problem(field_name, batch)
+        grid = TimeGrid.uniform(1.0, 6)
+        args = (terminal_objective(), ScalingPolicy.from_name(policy), fmt, high_format(fmt))
+        traj = forward(scheme, field, xs, grid, params, fmt, high_format(fmt))
+        mon = RangeMonitor()
+        grads = backward(scheme, field, traj, params, *args, mon)
+        assert grads.d_x.shape == (batch, 2)
+        assert grads.d_theta.shape == (batch, field.dim_params)
+        assert grads.d_t.shape == (7, batch)
+        counts = [0, 0]
+        for r, x in enumerate(xs):
+            alone = forward(scheme, field, x, grid, params, fmt, high_format(fmt))
+            row_mon = RangeMonitor()
+            want = backward(scheme, field, alone, params, *args, row_mon)
+            assert grads.d_x[r].tobytes() == want.d_x.tobytes()
+            assert grads.d_theta[r].tobytes() == want.d_theta.tobytes()
+            assert grads.d_t[:, r].tobytes() == want.d_t.tobytes()
+            counts[0] += row_mon.underflows
+            counts[1] += row_mon.overflows
+        assert np.isfinite(grads.d_theta).all()  # so `safe` took no early exit
+        assert [mon.underflows, mon.overflows] == counts
+        if fmt is FLOAT16 and batch > 1:
+            assert counts[0] > 0  # the count comparison saw range events
+
+    def test_batch_of_one_under_dynamic(self):
+        field, params, xs = batch_problem("mlp", 1)
+        grid = TimeGrid.uniform(1.0, 6)
+        args = (terminal_objective(1e4), ScalingPolicy.dynamic(), FLOAT16, FLOAT32)
+        batched, alone = BackwardTrace(), BackwardTrace()
+        traj = forward(Scheme.RK4, field, xs, grid, params, FLOAT16, FLOAT32)
+        grads = backward(Scheme.RK4, field, traj, params, *args, trace=batched)
+        traj = forward(Scheme.RK4, field, xs[0], grid, params, FLOAT16, FLOAT32)
+        want = backward(Scheme.RK4, field, traj, params, *args, trace=alone)
+        assert grads.d_x[0].tobytes() == want.d_x.tobytes()
+        assert grads.d_theta[0].tobytes() == want.d_theta.tobytes()
+        assert grads.d_t[:, 0].tobytes() == want.d_t.tobytes()
+        assert batched.scales == alone.scales and batched.doublings == alone.doublings
+
+    def test_dynamic_rejects_a_batch_before_any_work(self):
+        field, params, xs = batch_problem("mlp", 3)
+        traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 4), params, FLOAT16, FLOAT32)
+        evals = field.eval_count
+        with pytest.raises(ValueError, match="batch of 3"):
+            backward(
+                Scheme.EULER, field, traj, params, terminal_objective(),
+                ScalingPolicy.dynamic(), FLOAT16, FLOAT32,
+            )
+        assert field.eval_count == evals
+
+    def test_safe_non_finite_row_fails_the_whole_batch(self):
+        # Row 1's adjoint overflows float16 while the other rows' stay small.
+        field, params, xs = batch_problem("mlp", 3)
+        grid = TimeGrid.uniform(1.0, 4)
+        boost = np.array([[1.0], [1e6], [1.0]])
+        objective = Objective(terminal=lambda y: 0.0, terminal_grad=lambda y: boost * y)
+        args = (objective, ScalingPolicy.unscaled_safe(), FLOAT16, FLOAT32)
+        traj = forward(Scheme.EULER, field, xs, grid, params, FLOAT16, FLOAT32)
+        grads = backward(Scheme.EULER, field, traj, params, *args)
+        assert grads.d_theta.shape == (3, field.dim_params)
+        assert np.isposinf(grads.d_theta).all()
+        row0 = Objective(terminal=lambda y: 0.0, terminal_grad=lambda y: y)
+        alone = forward(Scheme.EULER, field, xs[0], grid, params, FLOAT16, FLOAT32)
+        want = backward(Scheme.EULER, field, alone, params, row0, *args[1:])
+        assert np.isfinite(want.d_theta).all()
+
+    def test_batched_gradients_csv_raises(self, tmp_path):
+        field, params, xs = batch_problem("linear", 2)
+        traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 2), params, FLOAT64, FLOAT64)
+        grads = backward(
+            Scheme.EULER, field, traj, params, terminal_objective(),
+            ScalingPolicy.unscaled(), FLOAT64, FLOAT64,
+        )
+        with pytest.raises(ValueError, match="batch of 2"):
+            grads.to_csv(tmp_path / "g.csv")
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestRoundingCallCount:

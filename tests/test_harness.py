@@ -301,6 +301,104 @@ class TestRunSgdDemo:
         assert all(row[3] for row in r.rows)  # nothing to reject in float64
 
 
+def row_loop_sgd_csv(config: ExperimentConfig) -> str:
+    """run_sgd_demo's CSV with one unbatched solve per batch row.
+
+    The loop form of the demo, kept as the reference the batched demo must
+    match byte for byte.
+    """
+    from mpode.adjoint import ScalingPolicy, backward, sgd_step
+    from mpode.dynamics import MlpField
+    from mpode.integrate import NonFiniteState, forward
+    from mpode.precision import FLOAT32, FLOAT64, get_format
+
+    grid = TimeGrid.uniform(1.0, 16)
+    teacher = runners._spiral_teacher()
+    student = MlpField(config.widths)
+    params = student.init_params(config.seed)
+    rng = np.random.default_rng(config.seed + 1)
+
+    def target(x0):
+        return forward(Scheme.EULER, teacher, x0, grid, None, FLOAT64, FLOAT64).states[-1].copy()
+
+    def loss(p, xs, targets):
+        total = 0.0
+        for x0, t in zip(xs, targets):
+            y = forward(Scheme.EULER, student, x0, grid, p, FLOAT64, FLOAT64).states[-1]
+            total += 0.5 * float(np.sum((y - t) ** 2))
+        return total / len(xs)
+
+    def grad(p, scale, fmt, xs, targets):
+        high = FLOAT64 if fmt is FLOAT64 else FLOAT32
+        total = np.zeros(student.dim_params)
+        for x0, t in zip(xs, targets):
+            objective = Objective(
+                terminal=lambda y: 0.0,
+                terminal_grad=lambda y, t=t: scale * (np.asarray(y, dtype=np.float64) - t),
+            )
+            try:
+                traj = forward(Scheme.EULER, student, x0, grid, p, fmt, high)
+            except NonFiniteState:
+                return np.full(student.dim_params, np.inf)
+            g = backward(Scheme.EULER, student, traj, p, objective,
+                         ScalingPolicy.unscaled_safe(), fmt, high)
+            total = total + g.d_theta
+        return total / len(xs)
+
+    probe_rng = np.random.default_rng(config.seed + 2)
+    probe_xs = [probe_rng.standard_normal(student.dim_state) for _ in range(16)]
+    probe_targets = [target(x0) for x0 in probe_xs]
+    rows, scale, streak = [], float(config.loss_scale), 0
+    for it in range(config.steps):
+        xs = [rng.standard_normal(student.dim_state) for _ in range(config.batch)]
+        targets = [target(x0) for x0 in xs]
+        batch_loss = loss(params, xs, targets)
+        res = sgd_step(
+            params, lambda p, s, f: grad(p, s, f, xs, targets), config.lr, scale,
+            config.weight_decay, get_format(config.fmt), streak,
+        )
+        params, scale, streak = res.params, res.loss_scale, res.streak
+        rows.append((it, batch_loss, scale, res.accepted))
+    return runners.SgdDemoResult(rows, loss(params, probe_xs, probe_targets), params).to_csv()
+
+
+class TestSgdDemoBatch:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(fmt="float16", seed=3, steps=5),
+            # a loss scale that overflows float16 rejects steps until it halves
+            ExperimentConfig(fmt="float16", seed=1, steps=5, batch=3, loss_scale=2.0**30),
+            ExperimentConfig(fmt="bfloat16", seed=5, steps=3, batch=2, widths=(2, 4, 2)),
+        ],
+        ids=["float16", "float16-rejects", "bfloat16"],
+    )
+    def test_batched_csv_equals_row_loop(self, tmp_path, config):
+        want = row_loop_sgd_csv(config)
+        config.out = str(tmp_path / "sgd.csv")
+        result = run_sgd_demo(config)
+        assert (tmp_path / "sgd.csv").read_text() == want
+        if config.loss_scale == 2.0**30:
+            assert not result.rows[0][3]  # the rejected-step path ran
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "x"), ("seed", -1), ("steps", -1), ("steps", 0), ("batch", 0),
+            ("batch", 1.5), ("lr", 0.0), ("lr", math.nan), ("lr", "x"),
+            ("loss_scale", -1.0), ("loss_scale", math.inf), ("weight_decay", -0.1),
+            ("weight_decay", math.nan), ("widths", [2, 4, 3]), ("widths", 3),
+            ("fmt", "float8"), ("fmt", 16),
+        ],
+    )
+    def test_bad_config_raises(self, monkeypatch, key, value):
+        solves = []
+        monkeypatch.setattr(runners, "forward", lambda *a: solves.append(a))
+        with pytest.raises(runners.ConfigError, match=f"^{key}: "):
+            run_sgd_demo(ExperimentConfig(**{key: value}))
+        assert not solves
+
+
 class TestRunSolve:
     def test_writes_both_csvs(self, tmp_path):
         config = ExperimentConfig(
@@ -429,6 +527,8 @@ class TestCli:
             ('fmt = "float8"', "fmt"),
             ("policy = 3", "policy"),
             ("bogus = 1", "line 1"),
+            ('field = "mlp"\nseed = "x"', "seed"),
+            ('field = "mlp"\nseed = -2', "seed"),
         ],
     )
     def test_solve_bad_config_fails_in_one_line(self, tmp_path, text, key):
@@ -446,6 +546,29 @@ class TestCli:
         result = CliRunner().invoke(main, ["sweep", "--n", "16,abc", "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == "Error: config: n: expected a positive integer, got 'abc'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seed", "-1"], "Error: config: seed: expected a non-negative integer, got -1\n"),
+            (["--lr", "0"], "Error: config: lr: expected a positive finite number, got 0.0\n"),
+            (["--lr", "nan"], "Error: config: lr: expected a positive finite number, got nan\n"),
+        ],
+    )
+    def test_sgd_demo_bad_config_fails_in_one_line(self, tmp_path, args, message):
+        out = tmp_path / "sgd.csv"
+        result = CliRunner().invoke(main, ["sgd-demo", "--steps", "2", *args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_sgd_demo_rejects_non_positive_steps(self, tmp_path, steps):
+        out = tmp_path / "sgd.csv"
+        result = CliRunner().invoke(main, ["sgd-demo", "--steps", steps, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--steps'" in result.output
         assert not out.exists()
 
     def test_rejects_bad_choice(self, tmp_path):

@@ -215,3 +215,81 @@ class TestTrajectoryCsv:
         assert lines[0] == "i,t,y0,y1"
         assert len(lines) == 5
         assert lines[1].startswith("0,0,1,0")
+
+
+def batch_problem(field_name, batch):
+    """A batched field, its parameters and B initial states.
+
+    The rows mix O(1) states with tiny ones, so narrow formats record
+    underflows; the operands every row shares (t and A) stay normal, so the
+    batch's RangeMonitor counts are the sum of its rows'.
+    """
+    if field_name == "linear":
+        field, params = LinearField([[-0.2, 1.0], [-1.0, -0.2]]), None
+    else:
+        field = MlpField((2, 8, 8, 2))
+        params = field.init_params(0)
+    rng = np.random.default_rng(batch)
+    xs = rng.standard_normal((batch, 2)) * np.where(rng.random((batch, 1)) < 0.3, 3e-6, 1.0)
+    return field, params, xs
+
+
+def high_format(fmt):
+    return FLOAT64 if fmt is FLOAT64 else FLOAT32
+
+
+class TestBatch:
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("field_name", ["linear", "mlp"])
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
+    def test_each_row_is_its_own_forward(self, batch, scheme, field_name, fmt):
+        field, params, xs = batch_problem(field_name, batch)
+        grid = TimeGrid.uniform(1.0, 6)
+        mon = RangeMonitor()
+        traj = forward(scheme, field, xs, grid, params, fmt, high_format(fmt), mon)
+        assert traj.states.shape == (7, batch, 2) and traj.final_hp.shape == (batch, 2)
+        assert field.eval_count == 6 * scheme.stages  # one evaluation per stage for all rows
+        counts = [0, 0]
+        for r, x in enumerate(xs):
+            row_mon = RangeMonitor()
+            alone = forward(scheme, field, x, grid, params, fmt, high_format(fmt), row_mon)
+            assert traj.states[:, r].tobytes() == alone.states.tobytes()
+            assert traj.final_hp[r].tobytes() == alone.final_hp.tobytes()
+            counts[0] += row_mon.underflows
+            counts[1] += row_mon.overflows
+        assert [mon.underflows, mon.overflows] == counts
+        if fmt is FLOAT16 and batch > 1:
+            assert counts[0] > 0  # the count comparison saw range events
+
+    def test_non_finite_row_stops_the_batch(self):
+        xs = np.array([[1.0], [10000.0]])
+        with pytest.raises(NonFiniteState) as info:
+            forward(
+                Scheme.EULER, LinearField([[30.0]]), xs, TimeGrid.uniform(1.0, 4), None,
+                FLOAT16, FLOAT32,
+            )
+        assert info.value.step == 0
+        assert info.value.trajectory.states.shape == (2, 2, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 1), (2, 1, 1)])
+    def test_batch_shape_checked(self, shape):
+        with pytest.raises(ValueError, match="initial state has shape"):
+            forward(
+                Scheme.EULER, LinearField([[-1.0]]), np.ones(shape),
+                TimeGrid.uniform(1.0, 2), None, FLOAT64, FLOAT64,
+            )
+
+    def test_polydecay_takes_one_state(self):
+        with pytest.raises(ValueError, match="one state"):
+            forward(
+                Scheme.EULER, PolyDecayField(), np.ones((2, 1)), TimeGrid.uniform(1.0, 2),
+                Params([0.4, -1.1, 0.9]), FLOAT16, FLOAT32,
+            )
+
+    def test_batched_trajectory_csv_raises(self, tmp_path):
+        field, params, xs = batch_problem("linear", 3)
+        traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 2), params, FLOAT64, FLOAT64)
+        with pytest.raises(ValueError, match="batch of 3"):
+            traj.to_csv(tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()

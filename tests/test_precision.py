@@ -104,6 +104,21 @@ class TestQuantizeExact:
         assert np.array_equal(out, x)
         assert quantize(math.pi, FLOAT64) == math.pi
 
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
+    def test_nan_keeps_its_sign(self, fmt):
+        # One rule on every path: scalars, small arrays (per element in
+        # Python) and large arrays (numpy), so a batch row rounds like the
+        # same row alone.
+        for k in (1, 2, _SMALL, _SMALL + 1, 100):
+            signs = np.arange(k) % 2 == 1
+            x = np.where(signs, -math.nan, math.nan)
+            got = quantize(x, fmt)
+            assert np.isnan(got).all()
+            assert np.array_equal(np.signbit(got), signs), (fmt.name, k)
+        for v in (math.nan, -math.nan):
+            got = quantize(v, fmt)
+            assert math.isnan(got) and math.copysign(1.0, got) == math.copysign(1.0, v)
+
     def test_signed_zero(self):
         assert math.copysign(1.0, quantize(-0.0, FLOAT16)) == -1.0
         assert math.copysign(1.0, quantize(-1e-30, FLOAT16)) == -1.0
@@ -228,7 +243,7 @@ def _edge_values(fmt) -> list[float]:
     ties = [1.0 + half_ulp, 1.0 + 3.0 * half_ulp, -(1.0 + half_ulp), tiny / 2, 1.5 * tiny, -tiny / 2]
     bounds = [fmt.min_normal, -fmt.min_normal, fmt.max_finite, -fmt.max_finite]
     bounds += [2.0**-126, 2.0**-133, 2.0**-134, 3.3895e38, 1e39, 65520.0, -65520.0]
-    return [0.0, -0.0, math.inf, -math.inf, math.nan] + bounds + ties
+    return [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan] + bounds + ties
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -256,6 +271,8 @@ class TestSmallInputPaths:
                         _count_range(v, want[-1], fmt, counts)
                     assert isinstance(got, np.ndarray) and got.dtype == np.float64
                     assert _same_bits(got, np.array(want).reshape(shape)), (fmt.name, x, got)
+                    nan = np.isnan(x)
+                    assert np.array_equal(np.signbit(got[nan]), np.signbit(x[nan])), (fmt.name, x)
                     assert [mon.underflows, mon.overflows] == counts, (fmt.name, x)
 
     @SMALL_FORMATS
@@ -272,6 +289,7 @@ class TestSmallInputPaths:
                 else:  # a 0-d array stays a 0-d float64 array in every format
                     assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
                 assert _same_bits(got, want), (fmt.name, v, got)
+                assert np.signbit(got) == np.signbit(v), (fmt.name, v, got)  # NaN too
                 assert [mon.underflows, mon.overflows] == counts, (fmt.name, v)
 
 

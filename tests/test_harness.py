@@ -7,10 +7,18 @@ import pytest
 from click.testing import CliRunner
 
 from mpode import runners
-from mpode.adjoint import ExhaustedRescale, NonFiniteAccumulator, Objective
+from mpode.adjoint import (
+    ExhaustedRescale,
+    NonFiniteAccumulator,
+    Objective,
+    ScalingPolicy,
+    backward,
+    sgd_step,
+)
 from mpode.cli import main
-from mpode.dynamics import Params, PolyDecayField
-from mpode.integrate import Scheme, TimeGrid
+from mpode.dynamics import MlpField, Params, PolyDecayField
+from mpode.integrate import NonFiniteState, Scheme, TimeGrid, forward
+from mpode.precision import FLOAT32, FLOAT64, get_format
 from mpode.oracles import analytic_gradient, analytic_solution, fd_gradient
 from mpode.runners import (
     ErrorRow,
@@ -307,11 +315,6 @@ def row_loop_sgd_csv(config: ExperimentConfig) -> str:
     The loop form of the demo, kept as the reference the batched demo must
     match byte for byte.
     """
-    from mpode.adjoint import ScalingPolicy, backward, sgd_step
-    from mpode.dynamics import MlpField
-    from mpode.integrate import NonFiniteState, forward
-    from mpode.precision import FLOAT32, FLOAT64, get_format
-
     grid = TimeGrid.uniform(1.0, 16)
     teacher = runners._spiral_teacher()
     student = MlpField(config.widths)

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .integrate import Scheme, Trajectory, build_step_tape, format_float
+from .integrate import Scheme, Trajectory, _all_finite, build_step_tape, format_float
 from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub
 
 __all__ = [
@@ -241,7 +241,7 @@ def backward(
             rth = quantize(np.asarray(running.grad_theta(float(t[n]), states[n], theta_low)), fmt_high)
             g = mul(w[n], rth, fmt_high)
 
-    if dynamic and not np.all(np.isfinite(a)):
+    if dynamic and not _all_finite(a):
         raise NonFiniteAccumulator(n)
 
     f, _ = math.frexp(scale_multiplier)
@@ -291,12 +291,7 @@ def backward(
             g = add(g, mul(w[i], rth, fmt_high), fmt_high)
 
         if dynamic:
-            if not (
-                np.all(np.isfinite(a))
-                and np.all(np.isfinite(g))
-                and np.isfinite(tgrad[i])
-                and np.isfinite(tgrad[i + 1])
-            ):
+            if not all(map(_all_finite, (a, g, tgrad[i], tgrad[i + 1]))):
                 raise NonFiniteAccumulator(i)
             # Doubling check runs on the freshly updated adjoint.
             if attempts == 1 and (

@@ -25,10 +25,21 @@ range-checked one element at a time in plain Python, with the same rules.
 `tests/test_precision.py::TestSmallInputPaths` pins both sides of the
 cutoff against the integer oracles and a counter written in the test, and
 `TestQuantizeExact` and `TestDotOracle` pin the array paths.
+
+Each format binds its rounding once, on first use, as a (scalar, array)
+pair of functions (`FloatFormat._rounders`); `quantize` only picks one.
+float64 binds plain carrier conversion and is never observed.  float16 and
+float32 round an in-range scalar with a precompiled `struct` pack and
+unpack: CPython packs half precision by exact round-half-to-even on the
+significand (raising OverflowError where that overflows, which only values
+beyond +-max_finite could reach) and native single precision with the C
+cast, the same IEEE conversions numpy's casts make.  Everything else keeps
+the numpy cast or the generic frexp/ldexp code.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,6 +114,11 @@ class FloatFormat:
     def _native(self):
         """The numpy dtype whose cast rounds exactly like this format, or None."""
         return _NATIVE_DTYPES.get((self.exponent_bits, self.mantissa_bits))
+
+    @cached_property
+    def _rounders(self):
+        """This format's (scalar, array) rounding functions, bound on first use."""
+        return _bind_rounders(self)
 
     def __str__(self) -> str:
         return self.name
@@ -185,13 +201,11 @@ class RangeMonitor:
 # is IEEE round-to-nearest-even with gradual underflow and overflow to inf,
 # i.e. exactly the rounding contract.  Exhaustive tests pin the equivalence.
 _NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
+# struct's IEEE half and single codes, which round the same way (see above).
+_STRUCT_CODES = {np.float16: "e", np.float32: "f"}
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
-    native = fmt._native
-    if native is not None and -fmt.max_finite <= x <= fmt.max_finite:
-        # In-range casts cannot overflow, so this path never warns.
-        return float(native(x))
     if x != x:
         return math.copysign(math.nan, x)
     if x == 0.0 or math.isinf(x):
@@ -207,9 +221,6 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
 
 
 def _quantize_array(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    native = fmt._native
-    if native is not None:
-        return x.astype(native).astype(np.float64)
     if x.size <= _SMALL:
         return np.array([_quantize_scalar(v, fmt) for v in x.ravel().tolist()]).reshape(x.shape)
     _, e = np.frexp(x)
@@ -224,6 +235,33 @@ def _quantize_array(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
     return y
 
 
+def _carrier(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def _bind_rounders(fmt: FloatFormat):
+    """The (scalar, array) rounding functions of `fmt`; see `FloatFormat._rounders`."""
+    if fmt.mantissa_bits >= 52:
+        return float, _carrier
+    native = fmt._native
+    if native is None:
+        return (
+            lambda x: _quantize_scalar(float(x), fmt),
+            lambda x: _quantize_array(_carrier(x), fmt),
+        )
+    # An in-range pack cannot overflow, so it never raises; the rest (out of
+    # range, infinite or NaN) takes the generic scalar code.
+    codec = struct.Struct(_STRUCT_CODES[native])
+    pack, unpack, top = codec.pack, codec.unpack, fmt.max_finite
+
+    def scalar(x):
+        if -top <= x <= top:
+            return unpack(pack(x))[0]
+        return _quantize_scalar(float(x), fmt)
+
+    return scalar, lambda x: _carrier(x).astype(native).astype(np.float64)
+
+
 def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     """Round to the nearest value representable in `fmt`, ties to even.
 
@@ -231,17 +269,12 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     elements are representable in `fmt`.  Signed zero is preserved, and a
     NaN keeps the input's sign on every path (so a batch row rounds like
     the same values alone), though not necessarily its payload.  float64 is
-    a passthrough (the carrier itself); the result may then alias the input.
+    a passthrough (the carrier itself); the result may then alias the input,
+    and a monitor sees nothing.
     """
-    if fmt.mantissa_bits >= 52:
-        if isinstance(x, (float, int)):
-            return float(x)
-        return np.asarray(x, dtype=np.float64)
-    if isinstance(x, (float, int)):
-        out = _quantize_scalar(float(x), fmt)
-    else:
-        out = _quantize_array(np.asarray(x, dtype=np.float64), fmt)
-    if monitor is not None:
+    scalar, array = fmt._rounders
+    out = scalar(x) if isinstance(x, (float, int)) else array(x)
+    if monitor is not None and scalar is not float:  # float64 rounds nothing
         monitor.observe(x, out, fmt)
     return out
 

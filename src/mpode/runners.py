@@ -59,7 +59,12 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {reason}")
 
 
-def _integer(key: str, value, minimum: int = 1) -> int:
+# Readers of config values: each turns a value into what the runners use or
+# raises ValueError with the reason, and `ExperimentConfig.resolve` names
+# the key.
+
+
+def _integer(value, minimum: int = 1) -> int:
     """An integer >= `minimum` (1 or 0), given as a JSON number or a decimal string."""
     try:
         n = int(value)
@@ -68,11 +73,11 @@ def _integer(key: str, value, minimum: int = 1) -> int:
         exact = False
     if not exact or n < minimum:
         kind = "positive" if minimum > 0 else "non-negative"
-        raise ConfigError(key, f"expected a {kind} integer, got {value!r}")
+        raise ValueError(f"expected a {kind} integer, got {value!r}")
     return n
 
 
-def _finite(key: str, value, positive: bool = True) -> float:
+def _finite(value, positive: bool = True) -> float:
     """A finite JSON number, > 0, or >= 0 unless `positive`."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     try:
@@ -81,35 +86,90 @@ def _finite(key: str, value, positive: bool = True) -> float:
         x = math.nan
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         kind = "positive" if positive else "non-negative"
-        raise ConfigError(key, f"expected a {kind} finite number, got {value!r}")
+        raise ValueError(f"expected a {kind} finite number, got {value!r}")
     return x
 
 
-def _numbers(key: str, value, size: int | None = None) -> np.ndarray:
+def _numbers(value, size: int | None = None) -> np.ndarray:
     """A float64 array of finite numbers; a list of `size` of them if given."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         arr = None
     if arr is None or not np.isfinite(arr).all():
-        raise ConfigError(key, f"expected finite numbers, got {value!r}")
+        raise ValueError(f"expected finite numbers, got {value!r}")
     if size is not None and arr.shape != (size,):
-        raise ConfigError(key, f"expected a list of length {size}, got {value!r}")
+        raise ValueError(f"expected a list of length {size}, got {value!r}")
     return arr
 
 
-def _named(key: str, parse, value):
-    """The object a name selects, e.g. `get_format` of a `fmt` value."""
-    if not isinstance(value, str):
-        raise ConfigError(key, f"expected a name, got {value!r}")
-    try:
+def _named(parse):
+    """A reader of the object a name selects, e.g. `_named(get_format)` for `fmt`."""
+
+    def read(value):
+        if not isinstance(value, str):
+            raise ValueError(f"expected a name, got {value!r}")
         return parse(value)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+
+    return read
+
+
+def _field_name(value) -> str:
+    name = value.lower() if isinstance(value, str) else None
+    if name not in ("polydecay", "linear", "mlp"):
+        raise ValueError(f"expected polydecay, linear or mlp, got {value!r}")
+    return name
+
+
+def _step_counts(value, many: bool = False):
+    """One step count, or with `many` a non-empty list (a number is a list of one)."""
+    if not many:
+        return _integer(value)
+    ns = value if isinstance(value, (list, tuple)) else [value]
+    if not ns:
+        raise ValueError("expected at least one step count")
+    return [_integer(v) for v in ns]
 
 
 def _grid(t_final, n: int) -> TimeGrid:
-    return TimeGrid.uniform(_finite("t_final", t_final), n)
+    """The uniform grid of `n` steps over [0, t_final]."""
+    return TimeGrid.uniform(_finite(t_final), n)
+
+
+def _square(value) -> np.ndarray:
+    a = _numbers(value)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _mlp(widths) -> MlpField:
+    if not isinstance(widths, (list, tuple)):
+        raise ValueError(f"expected a list of layer widths, got {widths!r}")
+    widths = tuple(_integer(w) for w in widths)
+    if len(widths) < 2 or widths[0] != widths[-1]:
+        raise ValueError(f"expected at least two, the last equal to the first, got {list(widths)}")
+    return MlpField(widths)
+
+
+_READERS = {
+    "scheme": _named(Scheme.from_name),
+    "fmt": _named(get_format),
+    "policy": _named(ScalingPolicy.from_name),
+    "field": _field_name,
+    "n": _step_counts,
+    "t_final": _grid,
+    "theta": _numbers,
+    "x0": _numbers,
+    "a_matrix": _square,
+    "widths": _mlp,
+    "seed": lambda value: _integer(value, minimum=0),
+    "steps": _integer,
+    "batch": _integer,
+    "lr": _finite,
+    "loss_scale": _finite,
+    "weight_decay": lambda value: _finite(value, positive=False),
+}
 
 
 @dataclass
@@ -138,11 +198,23 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls(**parse_config(Path(path).read_text()))
 
+    def resolve(self, key: str, *context):
+        """The value of `key` as the runners use it; the one config check.
+
+        `fmt`, `scheme` and `policy` give the objects they name, `widths`
+        an MlpField, `t_final` the uniform TimeGrid of `context[0]` steps,
+        `n` a step count (a list of them if `context[0]` is true), and
+        `theta` and `x0` an array of `context[0]` numbers.  A value that
+        cannot describe a run raises ConfigError naming `key`.
+        """
+        try:
+            return _READERS[key](getattr(self, key), *context)
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+
     def n_list(self) -> list[int]:
-        ns = self.n if isinstance(self.n, (list, tuple)) else [self.n]
-        if not ns:
-            raise ConfigError("n", "expected at least one step count")
-        return [_integer("n", v) for v in ns]
+        """The step counts of a sweep: `n` as a list (a number is a list of one)."""
+        return self.resolve("n", True)
 
 
 def parse_config(text: str) -> dict:
@@ -227,55 +299,42 @@ def _rel_err(got: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(got - ref))) / denom
 
 
-def _mlp(widths) -> MlpField:
-    """The MlpField of a `widths` config value."""
-    if not isinstance(widths, (list, tuple)):
-        raise ConfigError("widths", f"expected a list of layer widths, got {widths!r}")
-    widths = tuple(_integer("widths", w) for w in widths)
-    if len(widths) < 2 or widths[0] != widths[-1]:
-        reason = f"expected at least two, the last equal to the first, got {list(widths)}"
-        raise ConfigError("widths", reason)
-    return MlpField(widths)
-
-
 def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None, np.ndarray]:
     """Field, parameters, and initial state described by a config.
 
     A value that cannot describe them raises ConfigError naming its key.
     """
-    name = config.field.lower() if isinstance(config.field, str) else None
+    name = config.resolve("field")
     if name == "polydecay":
         field, params, x, _ = decay_benchmark()
-        if config.theta is not None:
-            params = Params(_numbers("theta", config.theta, field.dim_params))
-        if config.x0 is not None:
-            x = _numbers("x0", config.x0, field.dim_state)
-        return field, params, x
-    if name == "linear":
-        a = _numbers("a_matrix", [[-1.0]] if config.a_matrix is None else config.a_matrix)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("a_matrix", f"expected a square matrix, got shape {a.shape}")
-        field = LinearField(a)
-        x = np.ones(field.dim_state)
-        if config.x0 is not None:
-            x = _numbers("x0", config.x0, field.dim_state)
-        return field, None, x
-    if name == "mlp":
-        field = _mlp(config.widths)
-        seed = _integer("seed", config.seed, minimum=0)
-        params = (
-            Params(_numbers("theta", config.theta, field.dim_params))
-            if config.theta is not None
-            else field.init_params(seed)
+    elif name == "linear":
+        field = LinearField([[-1.0]] if config.a_matrix is None else config.resolve("a_matrix"))
+        params, x = None, np.ones(field.dim_state)
+    else:
+        field = config.resolve("widths")
+        seed = config.resolve("seed")
+        params = field.init_params(seed)
+        x = np.random.default_rng(seed).standard_normal(field.dim_state)
+    if config.theta is not None and params is not None:
+        params = Params(config.resolve("theta", field.dim_params))
+    if config.x0 is not None:
+        x = config.resolve("x0", field.dim_state)
+    return field, params, x
+
+
+def _gradients(scheme, field, traj, params, policy, fmt_low) -> tuple[Gradients | None, str]:
+    """Backward over `traj` under `policy`; a failure or non-finite result becomes a status."""
+    try:
+        grads = backward(
+            scheme, field, traj, params, _terminal_objective(), policy, fmt_low, _high_format(fmt_low)
         )
-        rng = np.random.default_rng(seed)
-        x = (
-            _numbers("x0", config.x0, field.dim_state)
-            if config.x0 is not None
-            else rng.standard_normal(field.dim_state)
-        )
-        return field, params, x
-    raise ConfigError("field", f"expected polydecay, linear or mlp, got {config.field!r}")
+    except ExhaustedRescale as exc:
+        return None, f"exhausted-rescale-at-{exc.step}"
+    except NonFiniteAccumulator as exc:
+        return None, f"non-finite-accumulator-at-{exc.step}"
+    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
+        return grads, "non-finite-gradient"
+    return grads, "ok"
 
 
 def _solve(
@@ -285,67 +344,43 @@ def _solve(
     x: np.ndarray,
     grid: TimeGrid,
     fmt_low: FloatFormat,
-    policy: ScalingPolicy,
-) -> tuple[Trajectory, Gradients | None, str]:
-    """One forward+backward run; a failed or non-finite outcome becomes a status.
+    policies: list[ScalingPolicy],
+) -> list[tuple[Trajectory, Gradients | None, str]]:
+    """One forward, then one backward per policy; each outcome gets a status.
 
-    Returns what was computed: after `non-finite-state-at-<i>` the
+    The forward does not depend on the policy, and backward leaves the
+    trajectory as it found it, so every policy pulls back the same one.
+    Returns one (trajectory, gradients, status) per policy, holding what
+    was computed: after `non-finite-state-at-<i>` (every policy) the
     trajectory ends at the first non-finite state and there are no
     gradients, after `exhausted-rescale-at-<i>` and
     `non-finite-accumulator-at-<i>` there are no gradients, and
     `non-finite-gradient` keeps the gradients that backward returned.
     """
-    fmt_high = _high_format(fmt_low)
     try:
-        traj = forward(scheme, field, x, grid, params, fmt_low, fmt_high)
+        traj = forward(scheme, field, x, grid, params, fmt_low, _high_format(fmt_low))
     except NonFiniteState as exc:
-        return exc.trajectory, None, f"non-finite-state-at-{exc.step}"
-    objective = _terminal_objective()
-    try:
-        grads = backward(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
-    except ExhaustedRescale as exc:
-        return traj, None, f"exhausted-rescale-at-{exc.step}"
-    except NonFiniteAccumulator as exc:
-        return traj, None, f"non-finite-accumulator-at-{exc.step}"
-    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
-        return traj, grads, "non-finite-gradient"
-    return traj, grads, "ok"
+        return [(exc.trajectory, None, f"non-finite-state-at-{exc.step}")] * len(policies)
+    return [(traj, *_gradients(scheme, field, traj, params, p, fmt_low)) for p in policies]
 
 
-def _run_cell(
-    scheme: Scheme,
-    field: VelocityField,
-    params: Params | None,
-    x: np.ndarray,
-    grid: TimeGrid,
-    fmt_low: FloatFormat,
-    policy: ScalingPolicy,
-) -> tuple[np.ndarray, Gradients | None, str]:
-    """Terminal state, gradients (None unless `ok`) and status of one run.
+def _error_row(fmt: str, policy: str, n: int, outcome: tuple, refs: tuple) -> ErrorRow:
+    """Error row of one `_solve` outcome against (y, d_x, d_theta) references.
 
-    The reported terminal state is the high-precision accumulator: state
-    accuracy is a property of the accumulated solution, while the stored
-    low-precision copy only adds one storage rounding on top of it.  A
-    forward blow-up reports an infinite state.
+    The state error is that of the high-precision terminal accumulator:
+    state accuracy is a property of the accumulated solution, while the
+    stored low-precision copy only adds one storage rounding on top of it.
+    A forward blow-up counts as an infinite state.  A cell that is not `ok`
+    gets inf gradient errors.  Three-parameter fields get one d_theta error
+    per component; any other size gets the normwise error repeated in all
+    three theta columns.
     """
-    traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
-    if status.startswith("non-finite-state-at-"):
-        return np.full(field.dim_state, np.inf), None, status
-    return traj.final_hp, grads if status == "ok" else None, status
-
-
-def _error_row(fmt: str, policy: str, n: int, cell: tuple, refs: tuple) -> ErrorRow:
-    """Error row of one `_run_cell` result against (y, d_x, d_theta) references.
-
-    A failed cell (no gradients) gets inf gradient errors. Three-parameter
-    fields get one d_theta error per component; any other size gets the
-    normwise error repeated in all three theta columns.
-    """
-    y, grads, status = cell
+    traj, grads, status = outcome
     y_ref, dx_ref, dtheta_ref = refs
-    re_y = _rel_err(y, y_ref)
-    if grads is None:
-        return ErrorRow(fmt, policy, n, re_y, *[float("inf")] * 4, status=status)
+    blowup = status.startswith("non-finite-state-at-")
+    re_y = math.inf if blowup else _rel_err(traj.final_hp, y_ref)
+    if status != "ok":
+        return ErrorRow(fmt, policy, n, re_y, *[math.inf] * 4, status=status)
     if len(dtheta_ref) == 3:
         re_th = [_rel_err(grads.d_theta[j : j + 1], dtheta_ref[j : j + 1]) for j in range(3)]
     else:
@@ -360,19 +395,17 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     backward yields infinite gradient-error entries and a non-ok status.
     """
     field, params, x, t_final = decay_benchmark()
-    n = _integer("n", config.n)
-    scheme = _named("scheme", Scheme.from_name, config.scheme)
+    n, scheme = config.resolve("n"), config.resolve("scheme")
     grid = TimeGrid.uniform(t_final, n)
     y_ref = analytic_solution(t_final, float(x[0]), params.master)
     refs = (y_ref, *analytic_gradient(t_final, float(x[0]), params.master))
+    policies = [ScalingPolicy.from_name(name) for name in TABLE_POLICIES]
 
     rows = []
     for fmt_name in TABLE_FORMATS:
-        for policy_name in TABLE_POLICIES:
-            fmt = get_format(fmt_name)
-            policy = ScalingPolicy.from_name(policy_name)
-            cell = _run_cell(scheme, field, params, x, grid, fmt, policy)
-            rows.append(_error_row(fmt_name, policy_name, n, cell, refs))
+        outcomes = _solve(scheme, field, params, x, grid, get_format(fmt_name), policies)
+        for policy_name, outcome in zip(TABLE_POLICIES, outcomes):
+            rows.append(_error_row(fmt_name, policy_name, n, outcome, refs))
     if config.out:
         write_error_rows(rows, config.out)
     return rows
@@ -387,21 +420,19 @@ def run_sweep(config: ExperimentConfig) -> list[ErrorRow]:
     and fills all three theta columns.
     """
     field, params, x = build_field(config)
-    scheme = _named("scheme", Scheme.from_name, config.scheme)
-    fmt = _named("fmt", get_format, config.fmt)
-    policy = _named("policy", ScalingPolicy.from_name, config.policy)
+    scheme, fmt, policy = map(config.resolve, ("scheme", "fmt", "policy"))
     objective = _terminal_objective()
 
     rows = []
     for n in config.n_list():
-        grid = _grid(config.t_final, n)
+        grid = config.resolve("t_final", n)
         traj_ref = forward(scheme, field, x, grid, params, FLOAT64, FLOAT64)
         grads_ref = backward(
             scheme, field, traj_ref, params, objective, ScalingPolicy.unscaled(), FLOAT64, FLOAT64
         )
-        cell = _run_cell(scheme, field, params, x, grid, fmt, policy)
+        [outcome] = _solve(scheme, field, params, x, grid, fmt, [policy])
         refs = (traj_ref.final_hp, grads_ref.d_x, grads_ref.d_theta)
-        rows.append(_error_row(config.fmt, config.policy, n, cell, refs))
+        rows.append(_error_row(config.fmt, config.policy, n, outcome, refs))
     if config.out:
         write_error_rows(rows, config.out)
     return rows
@@ -440,14 +471,8 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     loss, training forward and backward); every row is bit-identical to its
     own solve.  A bad config value raises ConfigError before anything runs.
     """
-    fmt_low = _named("fmt", get_format, config.fmt)
-    student = _mlp(config.widths)
-    seed = _integer("seed", config.seed, minimum=0)
-    steps = _integer("steps", config.steps)
-    batch = _integer("batch", config.batch)
-    lr = _finite("lr", config.lr)
-    loss_scale = _finite("loss_scale", config.loss_scale)
-    weight_decay = _finite("weight_decay", config.weight_decay, positive=False)
+    keys = ("fmt", "widths", "seed", "steps", "batch", "lr", "loss_scale", "weight_decay")
+    fmt_low, student, seed, steps, batch, lr, loss_scale, weight_decay = map(config.resolve, keys)
     scheme = Scheme.EULER
     n_steps = 16
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -531,11 +556,9 @@ def run_solve(config: ExperimentConfig) -> tuple[Path, Path] | None:
     raises SolveFailed with the status and the paths written.
     """
     field, params, x = build_field(config)
-    scheme = _named("scheme", Scheme.from_name, config.scheme)
-    fmt_low = _named("fmt", get_format, config.fmt)
-    policy = _named("policy", ScalingPolicy.from_name, config.policy)
-    grid = _grid(config.t_final, _integer("n", config.n))
-    traj, grads, status = _solve(scheme, field, params, x, grid, fmt_low, policy)
+    scheme, fmt_low, policy, n = map(config.resolve, ("scheme", "fmt", "policy", "n"))
+    grid = config.resolve("t_final", n)
+    [(traj, grads, status)] = _solve(scheme, field, params, x, grid, fmt_low, [policy])
     paths: tuple[Path, ...] = ()
     if config.out:
         stem = Path(config.out)

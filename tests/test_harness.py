@@ -1,10 +1,13 @@
 """Experiment-layer tests: oracles, runners, config files, CSV, CLI."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpode import runners
 from mpode.adjoint import (
@@ -235,6 +238,88 @@ class TestRunTable:
         assert p1.read_text().splitlines()[0] == ErrorRow.HEADER
 
 
+class TestSharedForward:
+    """run_table runs one forward per format and pulls both policies back
+    through it; a failure still lands on the rows it belongs to."""
+
+    N = 40
+
+    @pytest.fixture(scope="class")
+    def plain_rows(self):
+        return run_table(ExperimentConfig(n=self.N, scheme="rk4"))
+
+    @pytest.mark.parametrize("fmt", ["float64", "float32", "float16", "bfloat16"])
+    def test_backward_leaves_trajectory_unchanged(self, fmt):
+        # float64 quantize returns its input, so the adjoint seed can alias
+        # the last stored state; no policy may write through it.
+        field, params, x, t_final = decay_benchmark()
+        low = get_format(fmt)
+        high = FLOAT64 if low is FLOAT64 else FLOAT32
+        traj = forward(Scheme.RK4, field, x, TimeGrid.uniform(t_final, self.N), params, low, high)
+        states, final_hp = traj.states.tobytes(), traj.final_hp.tobytes()
+        for policy in ("none", "safe", "dynamic"):
+            backward(
+                Scheme.RK4, field, traj, params, terminal_objective(),
+                ScalingPolicy.from_name(policy), low, high,
+            )
+            assert traj.states.tobytes() == states and traj.final_hp.tobytes() == final_hp
+
+    def test_one_forward_per_format(self, monkeypatch, plain_rows):
+        calls = []
+        real = runners.forward
+
+        def counting(*args, **kwargs):
+            calls.append(args[5].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runners, "forward", counting)
+        rows = run_table(ExperimentConfig(n=self.N, scheme="rk4"))
+        assert calls == list(runners.TABLE_FORMATS)
+        assert [r.to_csv_line() for r in rows] == [r.to_csv_line() for r in plain_rows]
+
+    def test_forward_blowup_fails_both_policies(self, monkeypatch, plain_rows):
+        real = runners.forward
+
+        def blowing_up(scheme, field, x, grid, params, fmt_low, fmt_high):
+            traj = real(scheme, field, x, grid, params, fmt_low, fmt_high)
+            if fmt_low.name == "float16":
+                raise NonFiniteState(7, traj)
+            return traj
+
+        monkeypatch.setattr(runners, "forward", blowing_up)
+        rows = run_table(ExperimentConfig(n=self.N, scheme="rk4"))
+        for row, plain in zip(rows, plain_rows):
+            if row.fmt == "float16":
+                assert row.status == "non-finite-state-at-7"
+                errors = [row.re_y, row.re_dy0, row.re_dtheta1, row.re_dtheta2, row.re_dtheta3]
+                assert all(math.isinf(e) for e in errors)
+            else:
+                assert row.to_csv_line() == plain.to_csv_line()
+
+    @pytest.mark.parametrize(
+        "exc, status",
+        [(ExhaustedRescale(5), "exhausted-rescale-at-5"),
+         (NonFiniteAccumulator(2), "non-finite-accumulator-at-2")],
+    )
+    def test_backward_failure_fails_one_policy(self, monkeypatch, plain_rows, exc, status):
+        real = runners.backward
+
+        def failing(scheme, field, traj, params, objective, policy, fmt_low, fmt_high):
+            if fmt_low.name == "float16" and policy.kind.value == "dynamic":
+                raise exc
+            return real(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
+
+        monkeypatch.setattr(runners, "backward", failing)
+        rows = run_table(ExperimentConfig(n=self.N, scheme="rk4"))
+        for row, plain in zip(rows, plain_rows):
+            if (row.fmt, row.policy) == ("float16", "dynamic"):
+                assert row.status == status and row.re_y == plain.re_y
+                errors = [row.re_dy0, row.re_dtheta1, row.re_dtheta2, row.re_dtheta3]
+                assert all(math.isinf(e) for e in errors)
+            else:
+                assert row.to_csv_line() == plain.to_csv_line()
+
+
 class TestRunSweep:
     def test_float64_self_comparison_is_exact(self):
         config = ExperimentConfig(
@@ -442,6 +527,54 @@ class TestRunSolve:
         assert not (tmp_path / "run_gradients.csv").exists()
 
 
+def _json_number(x: float) -> str:
+    return json.dumps(x)  # NaN and Infinity parse back as numbers
+
+
+_numbers_text = st.lists(
+    st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e308, -1e308, math.nan, math.inf]),
+    max_size=4,
+).map(json.dumps)
+
+# Config values as they appear after `=`: good ones, wrong types, wrong
+# shapes, non-finite and out-of-range numbers, and unparsed strings.
+_CONFIG_TEXT = {
+    "field": st.sampled_from(['"polydecay"', '"linear"', '"mlp"', "MLP", '"pendulum"', "3", "[1]"]),
+    "scheme": st.sampled_from(['"rk4"', '"euler"', "EULER", '"rk45"', "1", "null"]),
+    "fmt": st.sampled_from(["float16", "bfloat16", "float32", "float64", "FLOAT16", "16", "true"]),
+    "policy": st.sampled_from(['"none"', '"safe"', '"dynamic"', "DYNAMIC", '"always"', "0"]),
+    "n": st.integers(-2, 5).map(str)
+    | st.sampled_from(['"3"', "2.0", "2.5", "[2, 3]", "[]", "true", "1e400", "abc"]),
+    "t_final": st.floats(allow_nan=True).map(_json_number)
+    | st.sampled_from(["5e-324", "1e-320", "1e308", "0", "-1", '"2"', "false"]),
+    "theta": _numbers_text | st.sampled_from(['{"a": 1}', "[[1, 2, 3]]", "x", "[0, 0, -4]"]),
+    "x0": _numbers_text | st.sampled_from(["[[1.0]]", "[1, 2]", '"1"', "[65504]"]),
+    "a_matrix": st.sampled_from(
+        ["[[-1.0]]", "[[30.0]]", "[[0.5, 0.0], [0.0, -2.0]]", "[[1.0, 2.0]]", "[]", "[[NaN]]", "7"]
+    ),
+    "widths": st.sampled_from(["[2, 3, 2]", "[1, 1]", "[2, 4, 3]", "[2]", "3", "[2, 0, 2]", "[2, 2.5, 2]"]),
+    "seed": st.sampled_from(["0", "7", "-1", '"x"', "1.5", "1e20", "null"]),
+}
+
+
+class TestSolveFuzz:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fixed_dictionaries({}, optional=_CONFIG_TEXT),
+        st.sampled_from(["", "# a comment", "bogus = 1", "n 3"]),
+    )
+    def test_every_config_runs_or_fails_typed(self, values, extra):
+        # out is never set, so run_solve writes nothing.
+        text = "\n".join([f"{key} = {value}" for key, value in values.items()] + [extra])
+        try:
+            run_solve(ExperimentConfig(**parse_config(text)))
+        except runners.ConfigError:
+            pass
+        except SolveFailed as exc:
+            assert exc.paths == () and exc.status != "ok"
+
+
 class TestCli:
     def test_table(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -542,6 +675,17 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(f"Error: config: {key}: ")
         assert len(result.output.splitlines()) == 1
+        assert not list(tmp_path.glob("sol_*"))
+
+    def test_solve_degenerate_grid_fails_in_one_line(self, tmp_path):
+        # 3 steps cannot split [0, 5e-324] into increasing nodes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_final = 5e-324\nn = 3\nout = {tmp_path / 'sol'}\n")
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: config: t_final: grid must be strictly increasing with t[0] >= 0\n"
+        )
         assert not list(tmp_path.glob("sol_*"))
 
     def test_sweep_bad_step_count_fails_in_one_line(self, tmp_path):

@@ -1,12 +1,14 @@
 """Rounding-layer tests: exactness against an independent oracle."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpode import precision
 from mpode.precision import (
     BFLOAT16,
     FLOAT16,
@@ -75,6 +77,84 @@ class TestQuantizeExact:
             s = quantize(v, fmt)
             assert s == a == oracle(v)
             assert isinstance(s, float)
+
+    @staticmethod
+    def _check_scalar_path(xs: np.ndarray, fmt, oracle, native) -> None:
+        """Every value of `xs` as a Python float: bits and sign against the
+        integer oracle and numpy's cast, and a Python float back."""
+        got = [quantize(v, fmt) for v in xs.tolist()]
+        assert all(type(g) is float for g in got)
+        got = np.array(got)
+        want = np.array([oracle(v) for v in xs.tolist()])
+        with np.errstate(over="ignore"):
+            cast = xs.astype(native).astype(np.float64)
+        assert _same_bits(got, want), xs[got.view(np.uint64) != want.view(np.uint64)][:5]
+        assert _same_bits(got, cast)
+        assert np.array_equal(np.signbit(got), np.signbit(xs))
+
+    def test_float16_scalar_path_exhaustive(self):
+        # Every finite value, every midpoint between neighbours (65520 is the
+        # one above max_finite), and the float64 neighbours of each midpoint.
+        vals = all_float16_values()
+        vals = vals[np.isfinite(vals)]
+        pos = np.unique(np.abs(vals))
+        mids = np.append((pos[:-1] + pos[1:]) / 2, 65520.0)
+        mids = np.concatenate([mids, -mids])
+        near = [np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
+        xs = np.concatenate([vals, mids, *near])
+        assert xs.size > 250_000
+        self._check_scalar_path(xs, FLOAT16, round_float16, np.float16)
+
+    def test_float32_scalar_path_sample(self):
+        rng = np.random.default_rng(20261019)
+        # Ties and their neighbours at random exponents, normal and subnormal.
+        sig = rng.integers(1 << 23, 1 << 24, size=4000).astype(np.float64)
+        exps = rng.integers(-149 - 23, 128 - 23, size=4000)
+        ties = np.ldexp(sig + 0.5, exps)
+        sub = np.ldexp(rng.integers(1, 1 << 23, size=2000) + 0.5, -149)
+        top = FLOAT32.max_finite
+        edges = np.array([top, np.nextafter(top, np.inf), top + 2.0**103,
+                          np.nextafter(top + 2.0**103, 0.0), 3.4028235e38, FLOAT32.min_normal])
+        # float16's overflow edge, every float32 value there, and midpoints.
+        band = np.arange(65504.0, 65520.0 + 2.0**-8, 2.0**-8)
+        band = np.concatenate([band, band + 2.0**-9])
+        xs = np.concatenate([ties, sub, edges, band])
+        xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+        xs = np.concatenate([xs, -xs])
+        self._check_scalar_path(xs, FLOAT32, round_float32, np.float32)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
+    def test_scalar_return_types(self, fmt):
+        for x in (3, -7, 10**6, True, np.float64(0.1), np.float64(1e300), 0.1, -0.0, math.inf):
+            got = quantize(x, fmt)
+            assert type(got) is float, (fmt.name, x, type(got))
+            assert got == quantize(np.array([float(x)]), fmt)[0]
+        got = quantize(np.array(0.1), fmt)
+        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT32], ids=str)
+    def test_struct_pack_sees_only_in_range_values(self, fmt, monkeypatch):
+        # Packing to half precision raises OverflowError where the rounding
+        # overflows; the scalar rounder packs nothing beyond +-max_finite.
+        with pytest.raises(OverflowError):
+            struct.pack("e", 65520.0)
+        packed = []
+
+        class Recording(struct.Struct):
+            def pack(self, x):
+                packed.append(x)
+                return super().pack(x)
+
+        monkeypatch.setattr(precision.struct, "Struct", Recording)
+        fresh = FloatFormat(fmt.name, fmt.exponent_bits, fmt.mantissa_bits)
+        top = fmt.max_finite
+        beyond = [top * (1 + 2.0 ** -(fmt.mantissa_bits + 2)), 2 * top, 1e300, math.inf, math.nan]
+        xs = [top, float(np.nextafter(top, 0.0)), 0.5, *beyond]
+        for x in xs + [-x for x in xs]:
+            assert _same_bits(quantize(x, fresh), quantize(np.array([x]), fmt)[0]), x
+        assert len(packed) == 6 and all(abs(x) <= top for x in packed)
 
     def test_derived_values(self):
         # one ulp below the rounding threshold collapses onto 1.0 (tie to even)

@@ -27,6 +27,13 @@ and d_t is `(n + 1, B)`, and each row is bit-identical to its own sweep.
 Under `safe`, a non-finite pullback in any row makes the whole batch's
 d_theta infinite.  `dynamic` takes one row: its scale, its rescues and their
 retries belong to a single adjoint, so B > 1 raises ValueError.
+
+A trajectory of one-component states (`states.shape[1:] == (1,)`) sweeps
+on Python floats, as `integrate.forward` does: the stage inputs are the
+stored rows' values as floats, and the adjoint a, the covector and the
+step cotangents are floats.  Array values may mix in (a running cost's
+`grad_y` makes a an array again) and round alike.  `d_x` keeps its `(1,)`
+shape.
 """
 from __future__ import annotations
 
@@ -177,14 +184,18 @@ class NonFiniteAccumulator(RuntimeError):
         self.step = step
 
 
-def init_scale(a: np.ndarray, fmt: FloatFormat) -> float:
+def _max_abs(a) -> float:
+    """||a||_inf of a float or an array; 0.0 for an empty array."""
+    return abs(a) if isinstance(a, float) else float(np.max(np.abs(a), initial=0.0))
+
+
+def init_scale(a: float | np.ndarray, fmt: FloatFormat) -> float:
     """Largest power of two with scale * ||a||_inf <= 1 / u_low.
 
     Returns 1.0 for a zero adjoint.  The result always satisfies
     scale * ||a||_inf in (1/(2u), 1/u].
     """
-    a = np.asarray(a, dtype=np.float64)
-    norm = float(np.max(np.abs(a))) if a.size else 0.0
+    norm = _max_abs(a)
     if norm == 0.0:
         return 1.0
     if not math.isfinite(norm):
@@ -230,7 +241,11 @@ def backward(
     w = trapezoid_weights(traj.grid)
 
     a = np.asarray(objective.terminal_grad(states[n]), dtype=np.float64).reshape(states[n].shape)
-    a = quantize(a, fmt_high)
+    # A one-component state sweeps on floats (module docstring): the
+    # stage inputs are the stored rows' values and the adjoint a float.
+    one = states.shape[1:] == (1,)
+    ys = states[:, 0].tolist() if one else states
+    a = quantize(float(a[0]) if one else a, fmt_high)
     g = np.zeros((*lead, field.dim_params))
     tgrad = np.zeros((n + 1, *lead))
     running = objective.running
@@ -251,7 +266,7 @@ def backward(
 
     for i in range(n - 1, -1, -1):
         h = sub(float(t[i + 1]), float(t[i]), fmt_high)
-        tape = build_step_tape(scheme, field, states[i], float(t[i]), h, theta_low, fmt_low, monitor)
+        tape = build_step_tape(scheme, field, ys[i], float(t[i]), h, theta_low, fmt_low, monitor)
         # Under none/safe the scale stays 1.0, so the covector is a's own
         # rounding and the first pullback is final.
         for attempts in range(1, policy.k_max + 1):
@@ -264,7 +279,8 @@ def backward(
         else:
             raise ExhaustedRescale(i)
         if safe and not v.finite():
-            return Gradients(a, np.full((*lead, field.dim_params), np.inf), tgrad)
+            d_theta = np.full((*lead, field.dim_params), np.inf)
+            return Gradients(np.reshape(a, states.shape[1:]), d_theta, tgrad)
         if dynamic and trace is not None:
             trace.scales.append(scale)
             trace.rescale_counts.append(attempts - 1)
@@ -294,9 +310,7 @@ def backward(
             if not all(map(_all_finite, (a, g, tgrad[i], tgrad[i + 1]))):
                 raise NonFiniteAccumulator(i)
             # Doubling check runs on the freshly updated adjoint.
-            if attempts == 1 and (
-                float(np.max(np.abs(a), initial=0.0)) <= 1.0 / (2.0 * fmt_low.unit_roundoff)
-            ):
+            if attempts == 1 and _max_abs(a) <= 1.0 / (2.0 * fmt_low.unit_roundoff):
                 scale = 2.0 * scale
                 if trace is not None:
                     trace.doublings += 1
@@ -304,7 +318,7 @@ def backward(
     if trace is not None:
         trace.scales.reverse()
         trace.rescale_counts.reverse()
-    return Gradients(np.asarray(a, dtype=np.float64), np.asarray(g), tgrad)
+    return Gradients(np.reshape(a, states.shape[1:]), np.asarray(g), tgrad)
 
 
 def objective_value(objective: Objective, traj: Trajectory, theta: np.ndarray) -> float:

@@ -16,6 +16,12 @@ evaluate and pull back every row at once: their matrix-vector products are
 each row exactly as alone.  Their pullbacks then return `(B, ...)` arrays
 (`dt` is `(B,)`, or a shared 0.0 for `LinearField`).  `PolyDecayField`
 takes one state.
+
+A solve with one state component hands the fields Python floats (see
+`integrate`).  `PolyDecayField` returns the type it gets: a float state
+gives a float value, a float cotangent a float `da`, and `(1,)` arrays give
+`(1,)` arrays.  `LinearField` and `MlpField` turn a float state or
+cotangent into a `(1,)` array with `np.atleast_1d` and return arrays.
 """
 from __future__ import annotations
 
@@ -105,6 +111,11 @@ class VelocityField(abc.ABC):
     def _linearize(self, t, y, theta, fmt, monitor) -> tuple[np.ndarray, Pullback]: ...
 
 
+def _component(v) -> float:
+    """The one component of a float or a `(1,)` array, as a float."""
+    return v if isinstance(v, float) else float(v[0])
+
+
 class PolyDecayField(VelocityField):
     """Scalar decay y' = -(th1*t^2 + th2*t + th3) * y.
 
@@ -116,10 +127,10 @@ class PolyDecayField(VelocityField):
     dim_params = 3
 
     def _linearize(self, t, y, theta, fmt, monitor):
-        if y.ndim != 1:
+        if not isinstance(y, float) and y.ndim != 1:
             raise ValueError("PolyDecayField takes one state, not a batch")
         th1, th2, th3 = map(float, theta)
-        y0 = float(y[0])
+        y0 = _component(y)
         tq = quantize(float(t), fmt, monitor)
         t2 = mul(tq, tq, fmt, monitor)
         p1 = mul(th1, t2, fmt, monitor)
@@ -129,7 +140,7 @@ class PolyDecayField(VelocityField):
         f = -mul(lam, y0, fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
-            cm = -float(cotangent[0])
+            cm = -_component(cotangent)
             c_lam = mul(cm, y0, fmt, monitor)
             c_y = mul(cm, lam, fmt, monitor)
             dth1 = mul(c_lam, t2, fmt, monitor)
@@ -138,9 +149,10 @@ class PolyDecayField(VelocityField):
             u = mul(c_t2, tq, fmt, monitor)
             u = add(u, u, fmt, monitor)
             dt = add(mul(c_lam, th2, fmt, monitor), u, fmt, monitor)
-            return FieldVjp(np.array([c_y]), dt, np.array([dth1, dth2, c_lam]))
+            da = c_y if isinstance(cotangent, float) else np.array([c_y])
+            return FieldVjp(da, dt, np.array([dth1, dth2, c_lam]))
 
-        return np.array([f]), pull
+        return (f if isinstance(y, float) else np.array([f])), pull
 
 
 class LinearField(VelocityField):
@@ -156,11 +168,12 @@ class LinearField(VelocityField):
         self.dim_state = self.a_matrix.shape[0]
 
     def _linearize(self, t, y, theta, fmt, monitor):
+        y = np.atleast_1d(y)
         aq = quantize(self.a_matrix, fmt, monitor)
         f = dot(aq, y[..., None, :], fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
-            da = dot(aq.T, cotangent[..., None, :], fmt, monitor)
+            da = dot(aq.T, np.atleast_1d(cotangent)[..., None, :], fmt, monitor)
             return FieldVjp(da, 0.0, np.zeros(0))
 
         return f, pull
@@ -207,6 +220,7 @@ class MlpField(VelocityField):
         return out
 
     def _linearize(self, t, y, theta, fmt, monitor):
+        y = np.atleast_1d(y)
         layers = self._layers(theta)
         last = len(layers) - 1
         # vs[l] is the input of layer l, which for l > 0 is the tanh output
@@ -222,7 +236,7 @@ class MlpField(VelocityField):
             vs.append(tanh(z, fmt, monitor) if l < last else z)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
-            c = np.asarray(cotangent, dtype=np.float64)
+            c = np.atleast_1d(np.asarray(cotangent, dtype=np.float64))
             dtheta = np.empty((*lead, self.dim_params))
             pos = self.dim_params
             for l in range(last, -1, -1):

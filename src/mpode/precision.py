@@ -17,14 +17,19 @@ harmless because 24 >= 2*11 + 2 (Figueroa, 1995).  `np.sum`,
 `np.add.reduce` and `@` reassociate the sum (pairwise, a float32
 accumulator, BLAS) and must never stand in for it.
 
-Most inputs are tiny: a scalar state, a 1- to 3-element stage or gradient.
-Every numpy ufunc call costs 0.5-1 us of dispatch whatever its size, and an
-array rounding or range check makes a dozen or more of them, so inputs of up
-to `_SMALL` elements are rounded (formats without a native dtype) and
-range-checked one element at a time in plain Python, with the same rules.
-`tests/test_precision.py::TestSmallInputPaths` pins both sides of the
-cutoff against the integer oracles and a counter written in the test, and
-`TestQuantizeExact` and `TestDotOracle` pin the array paths.
+Most inputs are tiny.  A solve with one state component runs on Python
+floats (`integrate` chooses that from the state's shape), so its stages,
+covectors and accumulators take the scalar route: every primitive takes a
+float and returns one, and `dot` of two floats is their rounded product.
+What still arrives as an array is mostly a 2- to 9-element stage, gradient
+or parameter vector.  Every numpy ufunc call costs 0.5-1 us of dispatch
+whatever its size, and an array rounding or range check makes a dozen or
+more of them, so inputs of up to `_SMALL` elements are rounded (formats
+without a native dtype) and range-checked one element at a time in plain
+Python, with the same rules.  `tests/test_precision.py::TestSmallInputPaths`
+pins both sides of the cutoff against the integer oracles and a counter
+written in the test, and `TestQuantizeExact` and `TestDotOracle` pin the
+array paths and the float `dot`.
 
 Each format binds its rounding once, on first use, as a (scalar, array)
 pair of functions (`FloatFormat._rounders`); `quantize` only picks one.
@@ -34,7 +39,9 @@ unpack: CPython packs half precision by exact round-half-to-even on the
 significand (raising OverflowError where that overflows, which only values
 beyond +-max_finite could reach) and native single precision with the C
 cast, the same IEEE conversions numpy's casts make.  Everything else keeps
-the numpy cast or the generic frexp/ldexp code.
+the numpy cast or the generic frexp/ldexp code, whose scalar form sends a
+value that rounds up past float64's own largest value to inf, as the
+array form does.
 """
 from __future__ import annotations
 
@@ -141,8 +148,9 @@ def get_format(name: str) -> FloatFormat:
         raise ValueError(f"unknown format {name!r}, expected one of {sorted(FORMATS)}") from None
 
 
-# Inputs of at most this many elements are range-checked, and rounded to
-# formats without a native dtype, one element at a time in Python.  Loop vs
+# Arrays of at most this many elements are range-checked, and rounded to
+# formats without a native dtype, one element at a time in Python (a
+# one-component state never gets here: it runs as a float).  Loop vs
 # numpy, in us, on a 2-vCPU x86 VM (Python 3.11, numpy 2.4): bfloat16
 # rounding 3.8 vs 16.4 at 1 element, 13.9 vs 16.0 at 8, 19.5 vs 16.4 at 12;
 # observe 2.1 vs 13.0 at 1 element, 8.2 vs 13.4 at 32.  One cutoff serves
@@ -212,7 +220,10 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
         return x
     _, e = math.frexp(x)
     shift = max(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
-    y = math.ldexp(round(math.ldexp(x, -shift)), shift)
+    try:
+        y = math.ldexp(round(math.ldexp(x, -shift)), shift)
+    except OverflowError:  # rounded up past float64's own largest value
+        return math.copysign(math.inf, x)
     if abs(y) > fmt.max_finite:
         return math.copysign(math.inf, x)
     if y == 0.0:
@@ -340,7 +351,10 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     native dtype and rounds each partial sum with its own `quantize` call.
 
     1-D inputs give a float; inputs with leading axes give a float64 array.
+    Two floats give their rounded product, the one-term sum it is.
     """
+    if isinstance(a, float) and isinstance(b, float):
+        return quantize(a * b, fmt, monitor)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     p = np.atleast_1d(quantize(a * b, fmt, monitor))

@@ -454,6 +454,67 @@ class TestBatch:
         assert not (tmp_path / "g.csv").exists()
 
 
+def one_component_problem(field_name):
+    if field_name == "linear":
+        return LinearField([[-1.0]]), None
+    field = MlpField((1, 4, 1))
+    return field, field.init_params(0)
+
+
+def state_types(field):
+    """Record the type of the state each linearize call of `field` receives."""
+    seen = []
+    linearize = field.linearize
+
+    def spy(t, y, *args):
+        seen.append(type(y))
+        return linearize(t, y, *args)
+
+    field.linearize = spy
+    return seen
+
+
+class TestOneComponentFloatPath:
+    """A `(1,)` state solves on floats; its batch of one `(1, 1)` on arrays.
+    Both must round every op alike: same bits, same monitor counts."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("field_name", ["linear", "mlp"])
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32], ids=str)
+    @pytest.mark.parametrize("policy", ["none", "safe", "dynamic"])
+    @pytest.mark.parametrize("running", [False, True], ids=["terminal", "running"])
+    def test_float_path_matches_batch_of_one(self, scheme, field_name, fmt, policy, running):
+        field, params = one_component_problem(field_name)
+        grid = TimeGrid.uniform(1.0, 6)
+        objective = terminal_objective(1e4)
+        if running:
+            objective.running = quadratic_running()
+        args = (objective, ScalingPolicy.from_name(policy), fmt, FLOAT32)
+        results = []
+        for x in (np.array([3e-6]), np.array([[3e-6]])):
+            seen = state_types(field)
+            fwd_mon, bwd_mon, trace = RangeMonitor(), RangeMonitor(), BackwardTrace()
+            traj = forward(scheme, field, x, grid, params, fmt, FLOAT32, fwd_mon)
+            forward_seen = seen[:]
+            grads = backward(scheme, field, traj, params, *args, bwd_mon, trace)
+            assert seen[0] is seen[len(forward_seen)] is (float if x.ndim == 1 else np.ndarray)
+            assert grads.d_x.shape == x.shape and traj.final_hp.shape == x.shape
+            results.append((traj, grads, fwd_mon, bwd_mon, trace))
+        (traj, grads, fwd_mon, bwd_mon, trace), (btraj, bgrads, bfwd_mon, bbwd_mon, btrace) = results
+        assert traj.states.tobytes() == btraj.states.tobytes()
+        assert traj.final_hp.tobytes() == btraj.final_hp.tobytes()
+        assert grads.d_x.tobytes() == bgrads.d_x.tobytes()
+        assert grads.d_theta.tobytes() == bgrads.d_theta.tobytes()
+        assert grads.d_t.tobytes() == bgrads.d_t.tobytes()
+        assert (fwd_mon.underflows, fwd_mon.overflows) == (bfwd_mon.underflows, bfwd_mon.overflows)
+        assert (bwd_mon.underflows, bwd_mon.overflows) == (bbwd_mon.underflows, bbwd_mon.overflows)
+        assert (trace.scales, trace.rescale_counts, trace.doublings) == (
+            btrace.scales, btrace.rescale_counts, btrace.doublings
+        )
+        if fmt is FLOAT16:
+            assert fwd_mon.underflows > 0  # the count comparisons saw range events
+
+
 class TestRoundingCallCount:
     def test_mlp_euler_step_quantize_calls(self, monkeypatch):
         # Exact on any host: one dot rounds its products and its partial

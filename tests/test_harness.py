@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -647,6 +648,27 @@ class TestCli:
         lines = (tmp_path / "sol_trajectory.csv").read_text().splitlines()
         assert lines == ["i,t,y0", "0,0,10000", "1,0.25,inf"]
         assert not (tmp_path / "sol_gradients.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'theta = [1.7976931348623157e308, 0, 0]\nfmt = "bfloat16"',
+            'theta = [1e6, 0, 0]\nfmt = "float16"\nn = 4',
+            'x0 = [1.7976931348623157e308]\nfmt = "float16"\nn = 4',
+        ],
+        ids=["max-double-theta-bfloat16", "theta-overflows-float16", "max-double-x0-float16"],
+    )
+    def test_solve_overflowing_input_fails_in_one_line(self, tmp_path, text):
+        # No traceback from the rounding and no numpy warning before the line.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f'field = "polydecay"\n{text}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: solve failed: non-finite-state-at-0\n"
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "text, key",

@@ -105,6 +105,8 @@ def tiny_state_problem(name):
     """Field, theta and a state small enough to underflow in narrow formats."""
     if name == "polydecay":
         return PolyDecayField(), np.array([0.4, -1.1, 0.9]), np.array([3e-6])
+    if name == "polydecay-float":  # the one-component state as forward passes it
+        return PolyDecayField(), np.array([0.4, -1.1, 0.9]), 3e-6
     if name == "linear":
         return LinearField([[-0.2, 1.0], [-1.0, -0.2]]), np.zeros(0), np.array([3e-6, -1e-6])
     field = MlpField((2, 8, 8, 2))
@@ -113,7 +115,7 @@ def tiny_state_problem(name):
 
 class TestStepTape:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-    @pytest.mark.parametrize("field_name", ["polydecay", "linear", "mlp"])
+    @pytest.mark.parametrize("field_name", ["polydecay", "polydecay-float", "linear", "mlp"])
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
     def test_tape_increment_is_forward_increment(self, scheme, field_name, fmt):
         field, theta, y = tiny_state_problem(field_name)
@@ -123,10 +125,17 @@ class TestStepTape:
         assert field.eval_count == scheme.stages
         tape = build_step_tape(scheme, field, y, 0.3, 0.1, theta_low, fmt, mon_tape)
         assert field.eval_count == 2 * scheme.stages
-        assert tape.increment.tobytes() == dy.tobytes()
+        assert type(tape.increment) is type(dy)
+        assert np.asarray(tape.increment).tobytes() == np.asarray(dy).tobytes()
         assert (mon_tape.underflows, mon_tape.overflows) == (mon_fwd.underflows, mon_fwd.overflows)
         if fmt is FLOAT16:
             assert mon_fwd.underflows > 0  # the comparison above saw range events
+        if isinstance(y, float):  # the float form steps exactly like the (1,) array
+            assert type(dy) is float
+            mon_arr = RangeMonitor()
+            want = increment(scheme, field, np.array([y]), 0.3, 0.1, theta_low, fmt, mon_arr)
+            assert np.array([dy]).tobytes() == want.tobytes()
+            assert (mon_arr.underflows, mon_arr.overflows) == (mon_fwd.underflows, mon_fwd.overflows)
 
 
 class TestForward:

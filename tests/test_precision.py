@@ -35,6 +35,13 @@ def all_float16_values() -> np.ndarray:
     return bits.view(np.float16).astype(np.float64)
 
 
+SMALL_FORMATS = pytest.mark.parametrize(
+    "fmt,oracle",
+    [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16), (FLOAT32, round_float32)],
+    ids=["float16", "bfloat16", "float32"],
+)
+
+
 class TestQuantizeExact:
     def test_float16_idempotent_on_all_patterns(self):
         vals = all_float16_values()
@@ -155,6 +162,30 @@ class TestQuantizeExact:
         for x in xs + [-x for x in xs]:
             assert _same_bits(quantize(x, fresh), quantize(np.array([x]), fmt)[0]), x
         assert len(packed) == 6 and all(abs(x) <= top for x in packed)
+
+    @SMALL_FORMATS
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_float64_extremes_round_to_inf(self, fmt, oracle):
+        # +-max double once raised OverflowError on the scalar route, where
+        # the rounded significand carried past float64's own range.
+        mid = fmt.max_finite + 2.0 ** (fmt.bias - fmt.mantissa_bits - 1)  # ties go to inf
+        below = float(np.nextafter(mid, 0.0))
+        top = float(np.finfo(np.float64).max)
+        xs = [top, mid, below, 1e308]
+        xs += [-x for x in xs]
+        native = fmt._native
+        for v in xs:
+            want = oracle(v)
+            if native is not None:
+                assert _same_bits(want, float(np.array([v]).astype(native)[0]))
+            assert want == (fmt.max_finite if abs(v) == below else math.inf) * math.copysign(1.0, v)
+            mon = RangeMonitor()
+            got = quantize(v, fmt, mon)
+            assert type(got) is float and _same_bits(got, want), (fmt.name, v, got)
+            assert mon.overflows == math.isinf(want)
+            for k in (1, _SMALL, _SMALL + 1):
+                got = quantize(np.full(k, v), fmt)
+                assert _same_bits(got, np.full(k, want)), (fmt.name, v, k, got)
 
     def test_derived_values(self):
         # one ulp below the rounding threshold collapses onto 1.0 (tie to even)
@@ -307,13 +338,6 @@ def _count_range(raw: float, out: float, fmt, counts: list) -> None:
         counts[1] += 1
     elif abs(out) < fmt.min_normal and (out != 0.0 or (raw != 0.0 and math.isfinite(raw))):
         counts[0] += 1
-
-
-SMALL_FORMATS = pytest.mark.parametrize(
-    "fmt,oracle",
-    [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16), (FLOAT32, round_float32)],
-    ids=["float16", "bfloat16", "float32"],
-)
 
 
 def _edge_values(fmt) -> list[float]:
@@ -487,6 +511,22 @@ class TestDotOracle:
                 assert _same_bits(got[i, j], dot(a[i, j], b[i, 0], fmt, row_mon))
         assert batch_mon.underflows == row_mon.underflows
         assert batch_mon.overflows == row_mon.overflows
+
+
+    @ALL_FORMATS
+    def test_two_floats_match_one_element_arrays(self, fmt):
+        # The one-component solves dot two floats: the rounded product.
+        rng = np.random.default_rng(11)
+        vals = _edge_values(fmt) + list(np.ldexp(rng.standard_normal(30), rng.integers(-80, 80, 30)))
+        for a in vals:
+            for b in (1.0, -0.0, 3.0e-6, 300.0, math.inf, float(rng.standard_normal())):
+                mon, arr_mon = RangeMonitor(), RangeMonitor()
+                got = dot(a, b, fmt, mon)
+                want = dot(np.array([a]), np.array([b]), fmt, arr_mon)
+                assert type(got) is float and type(want) is float
+                assert _same_bits(got, want), (fmt.name, a, b, got, want)
+                assert np.signbit(got) == np.signbit(want)
+                assert (mon.underflows, mon.overflows) == (arr_mon.underflows, arr_mon.overflows)
 
 
 class TestRoundedOps:

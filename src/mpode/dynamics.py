@@ -111,11 +111,6 @@ class VelocityField(abc.ABC):
     def _linearize(self, t, y, theta, fmt, monitor) -> tuple[np.ndarray, Pullback]: ...
 
 
-def _component(v) -> float:
-    """The one component of a float or a `(1,)` array, as a float."""
-    return v if isinstance(v, float) else float(v[0])
-
-
 class PolyDecayField(VelocityField):
     """Scalar decay y' = -(th1*t^2 + th2*t + th3) * y.
 
@@ -127,10 +122,11 @@ class PolyDecayField(VelocityField):
     dim_params = 3
 
     def _linearize(self, t, y, theta, fmt, monitor):
-        if not isinstance(y, float) and y.ndim != 1:
+        lift = not isinstance(y, float)  # a (1,) array in, (1,) arrays out
+        if lift and y.ndim != 1:
             raise ValueError("PolyDecayField takes one state, not a batch")
         th1, th2, th3 = map(float, theta)
-        y0 = _component(y)
+        y0 = float(y[0]) if lift else y
         tq = quantize(float(t), fmt, monitor)
         t2 = mul(tq, tq, fmt, monitor)
         p1 = mul(th1, t2, fmt, monitor)
@@ -140,7 +136,8 @@ class PolyDecayField(VelocityField):
         f = -mul(lam, y0, fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
-            cm = -_component(cotangent)
+            lift_c = not isinstance(cotangent, float)
+            cm = -(float(cotangent[0]) if lift_c else cotangent)
             c_lam = mul(cm, y0, fmt, monitor)
             c_y = mul(cm, lam, fmt, monitor)
             dth1 = mul(c_lam, t2, fmt, monitor)
@@ -149,10 +146,10 @@ class PolyDecayField(VelocityField):
             u = mul(c_t2, tq, fmt, monitor)
             u = add(u, u, fmt, monitor)
             dt = add(mul(c_lam, th2, fmt, monitor), u, fmt, monitor)
-            da = c_y if isinstance(cotangent, float) else np.array([c_y])
+            da = np.array([c_y]) if lift_c else c_y
             return FieldVjp(da, dt, np.array([dth1, dth2, c_lam]))
 
-        return (f if isinstance(y, float) else np.array([f])), pull
+        return (np.array([f]) if lift else f), pull
 
 
 class LinearField(VelocityField):

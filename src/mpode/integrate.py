@@ -23,7 +23,7 @@ Time, step size and the parameters are shared by all rows.
 A state with one component (`x.shape == (1,)`, not a batch of one) runs on
 Python floats: `forward` carries the high-precision state and the stage
 inputs as floats, and only the stored `states` rows are arrays.  A rounded
-`mul` costs 2.2-4.1 us on a 1-element array and 0.6-1.4 us on a float
+`mul` costs 1.7-4.8 us on a 1-element array and 0.4-1.9 us on a float
 (2-vCPU x86 VM, Python 3.11, numpy 2.4), and the two round alike, so the
 results, the monitor counts and the op sequence are those of the `(1,)`
 array.  The path is chosen from the input's shape alone, here and in

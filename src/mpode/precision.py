@@ -149,8 +149,8 @@ def get_format(name: str) -> FloatFormat:
 
 
 # Arrays of at most this many elements are range-checked, and rounded to
-# formats without a native dtype, one element at a time in Python (a
-# one-component state never gets here: it runs as a float).  Loop vs
+# formats without a native dtype, one element at a time in Python (the
+# decay problem's one-component values arrive as floats instead).  Loop vs
 # numpy, in us, on a 2-vCPU x86 VM (Python 3.11, numpy 2.4): bfloat16
 # rounding 3.8 vs 16.4 at 1 element, 13.9 vs 16.0 at 8, 19.5 vs 16.4 at 12;
 # observe 2.1 vs 13.0 at 1 element, 8.2 vs 13.4 at 32.  One cutoff serves

@@ -512,12 +512,11 @@ class TestDotOracle:
         assert batch_mon.underflows == row_mon.underflows
         assert batch_mon.overflows == row_mon.overflows
 
-
     @ALL_FORMATS
     def test_two_floats_match_one_element_arrays(self, fmt):
         # The one-component solves dot two floats: the rounded product.
         rng = np.random.default_rng(11)
-        vals = _edge_values(fmt) + list(np.ldexp(rng.standard_normal(30), rng.integers(-80, 80, 30)))
+        vals = _edge_values(fmt) + np.ldexp(rng.standard_normal(30), rng.integers(-80, 80, 30)).tolist()
         for a in vals:
             for b in (1.0, -0.0, 3.0e-6, 300.0, math.inf, float(rng.standard_normal())):
                 mon, arr_mon = RangeMonitor(), RangeMonitor()

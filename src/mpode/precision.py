@@ -33,20 +33,22 @@ array paths and the float `dot`.
 
 Each format binds its rounding once, on first use, as a (scalar, array)
 pair of functions (`FloatFormat._rounders`); `quantize` only picks one.
-float64 binds plain carrier conversion and is never observed.  float16 and
-float32 round an in-range scalar with a precompiled `struct` pack and
-unpack: CPython packs half precision by exact round-half-to-even on the
-significand (raising OverflowError where that overflows, which only values
-beyond +-max_finite could reach) and native single precision with the C
-cast, the same IEEE conversions numpy's casts make.  Everything else keeps
-the numpy cast or the generic frexp/ldexp code, whose scalar form sends a
-value that rounds up past float64's own largest value to inf, as the
-array form does.
+float64 binds plain carrier conversion and is never observed.  Every
+narrower format rounds a scalar with min_normal <= |x| <= max_finite by
+Veltkamp splitting (Dekker, 1971; Boldo, "Pitfalls of a full floating-point
+proof", 2006): with g = (2**(52 - mantissa_bits) + 1) * x, the float64 sum
+g + (x - g) is x rounded to nearest, ties to even, on mantissa_bits + 1
+bits, one multiply and two adds.  Zeros, the subnormal range, values beyond
++-max_finite, infinities and NaN take the generic frexp/ldexp code, which
+sends a value that rounds up past float64's own largest value to inf, as
+the array form does.  Arrays take the numpy cast where the format has a
+native dtype and the generic code otherwise, whose small-array loop calls
+the split rounder.
 """
 from __future__ import annotations
 
 import math
-import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,9 +154,10 @@ def get_format(name: str) -> FloatFormat:
 # formats without a native dtype, one element at a time in Python (the
 # decay problem's one-component values arrive as floats instead).  Loop vs
 # numpy, in us, on a 2-vCPU x86 VM (Python 3.11, numpy 2.4): bfloat16
-# rounding 3.8 vs 16.4 at 1 element, 13.9 vs 16.0 at 8, 19.5 vs 16.4 at 12;
-# observe 2.1 vs 13.0 at 1 element, 8.2 vs 13.4 at 32.  One cutoff serves
-# both, just below the rounding's crossover.
+# rounding 1.4 vs 9.2 at 1 element, 2.8 vs 9.1 at 8, 3.6 vs 10.6 at 12,
+# even near 48; observe 2.1 vs 13.0 at 1 element, 8.2 vs 13.4 at 32.
+# The cutoff also picks the float16 range and finite checks of batched
+# solves, so it stays where it was set, below the old rounding's crossover.
 _SMALL = 8
 
 
@@ -209,8 +212,6 @@ class RangeMonitor:
 # is IEEE round-to-nearest-even with gradual underflow and overflow to inf,
 # i.e. exactly the rounding contract.  Exhaustive tests pin the equivalence.
 _NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
-# struct's IEEE half and single codes, which round the same way (see above).
-_STRUCT_CODES = {np.float16: "e", np.float32: "f"}
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
@@ -231,9 +232,9 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
     return y
 
 
-def _quantize_array(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
+def _quantize_array(x: np.ndarray, fmt: FloatFormat, scalar) -> np.ndarray:
     if x.size <= _SMALL:
-        return np.array([_quantize_scalar(v, fmt) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.array([scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
     _, e = np.frexp(x)
     shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
     y = np.ldexp(np.rint(np.ldexp(x, -shift)), shift)
@@ -254,22 +255,21 @@ def _bind_rounders(fmt: FloatFormat):
     """The (scalar, array) rounding functions of `fmt`; see `FloatFormat._rounders`."""
     if fmt.mantissa_bits >= 52:
         return float, _carrier
-    native = fmt._native
-    if native is None:
-        return (
-            lambda x: _quantize_scalar(float(x), fmt),
-            lambda x: _quantize_array(_carrier(x), fmt),
-        )
-    # An in-range pack cannot overflow, so it never raises; the rest (out of
-    # range, infinite or NaN) takes the generic scalar code.
-    codec = struct.Struct(_STRUCT_CODES[native])
-    pack, unpack, top = codec.pack, codec.unpack, fmt.max_finite
+    # Veltkamp splitting (module docstring), for normal values within range
+    # whose product with `split` stays finite in float64.
+    split = 2.0 ** (52 - fmt.mantissa_bits) + 1.0
+    tiny, top = fmt.min_normal, min(fmt.max_finite, sys.float_info.max / split)
 
     def scalar(x):
-        if -top <= x <= top:
-            return unpack(pack(x))[0]
-        return _quantize_scalar(float(x), fmt)
+        x = float(x)
+        if tiny <= abs(x) <= top:
+            g = split * x
+            return g + (x - g)
+        return _quantize_scalar(x, fmt)
 
+    native = fmt._native
+    if native is None:
+        return scalar, lambda x: _quantize_array(_carrier(x), fmt, scalar)
     return scalar, lambda x: _carrier(x).astype(native).astype(np.float64)
 
 

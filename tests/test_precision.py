@@ -1,7 +1,6 @@
 """Rounding-layer tests: exactness against an independent oracle."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -27,12 +26,18 @@ from mpode.precision import (
 )
 from mpode.precision import _SMALL
 
-from _oracles import round_bfloat16, round_float16, round_float32
+from _oracles import round_bfloat16, round_float16, round_float32, round_to_format
 
 
 def all_float16_values() -> np.ndarray:
     bits = np.arange(1 << 16, dtype=np.uint16)
     return bits.view(np.float16).astype(np.float64)
+
+
+def finite_bfloat16_values() -> np.ndarray:
+    bits = np.arange(1 << 16, dtype=np.uint32) << 16
+    bits = bits[bits & 0x7F800000 != 0x7F800000]
+    return bits.view(np.float32).astype(np.float64)
 
 
 SMALL_FORMATS = pytest.mark.parametrize(
@@ -86,17 +91,18 @@ class TestQuantizeExact:
             assert isinstance(s, float)
 
     @staticmethod
-    def _check_scalar_path(xs: np.ndarray, fmt, oracle, native) -> None:
+    def _check_scalar_path(xs: np.ndarray, fmt, oracle, native=None) -> None:
         """Every value of `xs` as a Python float: bits and sign against the
-        integer oracle and numpy's cast, and a Python float back."""
+        integer oracle and, given a `native` dtype, numpy's cast, and a
+        Python float back."""
         got = [quantize(v, fmt) for v in xs.tolist()]
         assert all(type(g) is float for g in got)
         got = np.array(got)
         want = np.array([oracle(v) for v in xs.tolist()])
-        with np.errstate(over="ignore"):
-            cast = xs.astype(native).astype(np.float64)
         assert _same_bits(got, want), xs[got.view(np.uint64) != want.view(np.uint64)][:5]
-        assert _same_bits(got, cast)
+        if native is not None:
+            with np.errstate(over="ignore"):
+                assert _same_bits(got, xs.astype(native).astype(np.float64))
         assert np.array_equal(np.signbit(got), np.signbit(xs))
 
     def test_float16_scalar_path_exhaustive(self):
@@ -112,6 +118,18 @@ class TestQuantizeExact:
         assert xs.size > 250_000
         self._check_scalar_path(xs, FLOAT16, round_float16, np.float16)
 
+    def test_bfloat16_scalar_path_exhaustive(self):
+        # The same for bfloat16: max_finite + 2**119 is the midpoint above
+        # max_finite.
+        vals = finite_bfloat16_values()
+        pos = np.unique(np.abs(vals))
+        mids = np.append((pos[:-1] + pos[1:]) / 2, BFLOAT16.max_finite + 2.0**119)
+        mids = np.concatenate([mids, -mids])
+        near = [np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
+        xs = np.concatenate([vals, mids, *near])
+        assert xs.size > 250_000
+        self._check_scalar_path(xs, BFLOAT16, round_bfloat16)
+
     def test_float32_scalar_path_sample(self):
         rng = np.random.default_rng(20261019)
         # Ties and their neighbours at random exponents, normal and subnormal.
@@ -119,13 +137,17 @@ class TestQuantizeExact:
         exps = rng.integers(-149 - 23, 128 - 23, size=4000)
         ties = np.ldexp(sig + 0.5, exps)
         sub = np.ldexp(rng.integers(1, 1 << 23, size=2000) + 0.5, -149)
+        # An even and an odd tie in every normal binade, 2**-126 to 2**127.
+        binades = np.arange(-126, 128)
+        even = 2 * rng.integers(1 << 22, 1 << 23, size=binades.size)
+        binade_ties = np.ldexp(np.concatenate([even, even + 1]) + 0.5, np.tile(binades - 23, 2))
         top = FLOAT32.max_finite
         edges = np.array([top, np.nextafter(top, np.inf), top + 2.0**103,
                           np.nextafter(top + 2.0**103, 0.0), 3.4028235e38, FLOAT32.min_normal])
         # float16's overflow edge, every float32 value there, and midpoints.
         band = np.arange(65504.0, 65520.0 + 2.0**-8, 2.0**-8)
         band = np.concatenate([band, band + 2.0**-9])
-        xs = np.concatenate([ties, sub, edges, band])
+        xs = np.concatenate([ties, sub, binade_ties, edges, band])
         xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
         xs = np.concatenate([xs, -xs])
         self._check_scalar_path(xs, FLOAT32, round_float32, np.float32)
@@ -140,28 +162,45 @@ class TestQuantizeExact:
         got = quantize(np.array(0.1), fmt)
         assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
 
+    @SMALL_FORMATS
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT32], ids=str)
-    def test_struct_pack_sees_only_in_range_values(self, fmt, monkeypatch):
-        # Packing to half precision raises OverflowError where the rounding
-        # overflows; the scalar rounder packs nothing beyond +-max_finite.
-        with pytest.raises(OverflowError):
-            struct.pack("e", 65520.0)
-        packed = []
+    def test_generic_code_sees_only_values_outside_the_normal_range(self, fmt, oracle, monkeypatch):
+        # The split rounder covers min_normal <= |x| <= max_finite; zeros,
+        # the subnormal range, values beyond +-max_finite, +-inf and NaN
+        # take the generic scalar code.
+        generic, seen = precision._quantize_scalar, []
 
-        class Recording(struct.Struct):
-            def pack(self, x):
-                packed.append(x)
-                return super().pack(x)
+        def spy(x, f):
+            seen.append(x)
+            return generic(x, f)
 
-        monkeypatch.setattr(precision.struct, "Struct", Recording)
+        monkeypatch.setattr(precision, "_quantize_scalar", spy)
         fresh = FloatFormat(fmt.name, fmt.exponent_bits, fmt.mantissa_bits)
+        tiny, top = fmt.min_normal, fmt.max_finite
+        half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
+        inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
+                  float(np.nextafter(top, 0.0)), top]
+        outside = [0.0, float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
+                   float(np.nextafter(top, np.inf)), top * (1 + half_ulp / 2), 2 * top, 1e300,
+                   math.inf, math.nan]
+        for xs, generic_calls in ((inside, 0), (outside, 1)):
+            for x in xs + [-x for x in xs]:
+                want = quantize(np.array([x]), fmt)[0]
+                seen.clear()
+                got = quantize(x, fresh)
+                assert _same_bits(seen, [x] * generic_calls), (fmt.name, x, seen)
+                assert type(got) is float and _same_bits(got, want), (fmt.name, x, got, want)
+                assert _same_bits(got, oracle(x)) and np.signbit(got) == np.signbit(x), (fmt.name, x)
+
+    def test_wide_exponent_format_near_float64_max(self):
+        # With float64's exponent range the split product would overflow
+        # near the top; those values take the generic code instead.
+        fmt = FloatFormat("e11m20", 11, 20)
         top = fmt.max_finite
-        beyond = [top * (1 + 2.0 ** -(fmt.mantissa_bits + 2)), 2 * top, 1e300, math.inf, math.nan]
-        xs = [top, float(np.nextafter(top, 0.0)), 0.5, *beyond]
+        xs = [top, float(np.nextafter(top, 0.0)), top / 3, 2.0**1000 * 1.3, 2.0**-1022 * 1.7, 1e300]
         for x in xs + [-x for x in xs]:
-            assert _same_bits(quantize(x, fresh), quantize(np.array([x]), fmt)[0]), x
-        assert len(packed) == 6 and all(abs(x) <= top for x in packed)
+            want = round_to_format(x, 20, 11)
+            assert _same_bits(quantize(x, fmt), want) and _same_bits(quantize(np.array([x]), fmt), [want]), x
 
     @SMALL_FORMATS
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

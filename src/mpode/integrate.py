@@ -23,12 +23,11 @@ Time, step size and the parameters are shared by all rows.
 A state with one component (`x.shape == (1,)`, not a batch of one) runs on
 Python floats: `forward` carries the high-precision state and the stage
 inputs as floats, and only the stored `states` rows are arrays.  A rounded
-`mul` costs 1.3-2.0 us on a 1-element array and 0.3 us on a float in
-every format (2-vCPU x86 VM, Python 3.11, numpy 2.4), and the two round
-alike, so the results, the monitor counts and the op sequence are those
-of the `(1,)` array.  The path is chosen from the input's shape alone, here and in
-`adjoint.backward`; `final_hp` keeps its `(1,)` shape.  A field may hand
-back arrays for float inputs; the float and array forms mix freely.
+`mul` costs 6-10 times more on a 1-element array than on a float, and the
+two round alike, so the results, the monitor counts and the op sequence
+are those of the `(1,)` array.  The path is chosen from the input's shape
+alone, here and in `adjoint.backward`; `final_hp` keeps its `(1,)` shape.
+A field may hand back arrays for float inputs; the two forms mix freely.
 """
 from __future__ import annotations
 

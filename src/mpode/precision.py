@@ -18,32 +18,24 @@ harmless because 24 >= 2*11 + 2 (Figueroa, 1995).  `np.sum`,
 accumulator, BLAS) and must never stand in for it.
 
 Most inputs are tiny.  A solve with one state component runs on Python
-floats (`integrate` chooses that from the state's shape), so its stages,
-covectors and accumulators take the scalar route: every primitive takes a
-float and returns one, and `dot` of two floats is their rounded product.
-What still arrives as an array is mostly a 2- to 9-element stage, gradient
-or parameter vector.  Every numpy ufunc call costs 0.5-1 us of dispatch
-whatever its size, and an array rounding or range check makes a dozen or
-more of them, so inputs of up to `_SMALL` elements are rounded (formats
-without a native dtype) and range-checked one element at a time in plain
-Python, with the same rules.  `tests/test_precision.py::TestSmallInputPaths`
-pins both sides of the cutoff against the integer oracles and a counter
-written in the test, and `TestQuantizeExact` and `TestDotOracle` pin the
-array paths and the float `dot`.
+floats (`integrate` chooses that from the state's shape): every primitive
+takes a float and returns one, and `dot` of two floats is their rounded
+product.  What still arrives as an array is mostly a 2- to 9-element
+vector, and every numpy ufunc call costs 0.5-1 us whatever its size, so
+inputs of up to `_SMALL` elements are range-checked, and rounded where the
+format has no native dtype, one element at a time in plain Python.
 
-Each format binds its rounding once, on first use, as a (scalar, array)
-pair of functions (`FloatFormat._rounders`); `quantize` only picks one.
-float64 binds plain carrier conversion and is never observed.  Every
-narrower format rounds a scalar with min_normal <= |x| <= max_finite by
-Veltkamp splitting (Dekker, 1971; Boldo, "Pitfalls of a full floating-point
-proof", 2006): with g = (2**(52 - mantissa_bits) + 1) * x, the float64 sum
-g + (x - g) is x rounded to nearest, ties to even, on mantissa_bits + 1
-bits, one multiply and two adds.  Zeros, the subnormal range, values beyond
+`quantize` rounds the two common inputs in its own frame, from constants
+cached per format (`FloatFormat._split`, `_native`), and nothing it calls
+calls it back, so one rounded op is one `quantize` call.  A float with
+min_normal <= |x| <= max_finite is rounded by Veltkamp splitting (Dekker,
+1971; Boldo, "Pitfalls of a full floating-point proof", 2006): with
+g = (2**(52 - mantissa_bits) + 1) * x, the float64 sum g + (x - g) is x
+rounded to nearest even on mantissa_bits + 1 bits.  A float64 array takes
+the numpy cast where the format has a native dtype.  Other inputs take
+`_quantize_other` under the same rules.  Zeros, subnormals, values beyond
 +-max_finite, infinities and NaN take the generic frexp/ldexp code, which
-sends a value that rounds up past float64's own largest value to inf, as
-the array form does.  Arrays take the numpy cast where the format has a
-native dtype and the generic code otherwise, whose small-array loop calls
-the split rounder.
+sends a value that rounds past float64's largest to inf, as arrays do.
 """
 from __future__ import annotations
 
@@ -86,9 +78,8 @@ class FloatFormat:
         if self.exponent_bits < 2 or self.mantissa_bits < 1:
             raise ValueError(f"degenerate format: {self}")
 
-    # Derived constants are computed once per format: quantize reads them on
-    # every call.  cached_property writes the instance dict directly, so it
-    # works on the frozen dataclass and leaves eq and hash on the fields.
+    # Derived constants are computed once per format, as quantize reads them
+    # on every call; cached_property works on the frozen dataclass.
     @cached_property
     def bias(self) -> int:
         return 2 ** (self.exponent_bits - 1) - 1
@@ -125,9 +116,13 @@ class FloatFormat:
         return _NATIVE_DTYPES.get((self.exponent_bits, self.mantissa_bits))
 
     @cached_property
-    def _rounders(self):
-        """This format's (scalar, array) rounding functions, bound on first use."""
-        return _bind_rounders(self)
+    def _split(self):
+        """Veltkamp rounder constants (min_normal, top, splitter), None in
+        float64; it takes min_normal <= |x| <= top, keeping x * splitter finite."""
+        if self.mantissa_bits >= 52:
+            return None
+        split = 2.0 ** (52 - self.mantissa_bits) + 1.0
+        return self.min_normal, min(self.max_finite, sys.float_info.max / split), split
 
     def __str__(self) -> str:
         return self.name
@@ -151,13 +146,11 @@ def get_format(name: str) -> FloatFormat:
 
 
 # Arrays of at most this many elements are range-checked, and rounded to
-# formats without a native dtype, one element at a time in Python (the
-# decay problem's one-component values arrive as floats instead).  Loop vs
+# formats without a native dtype, element by element in Python.  Loop vs
 # numpy, in us, on a 2-vCPU x86 VM (Python 3.11, numpy 2.4): bfloat16
-# rounding 1.4 vs 9.2 at 1 element, 2.8 vs 9.1 at 8, 3.6 vs 10.6 at 12,
-# even near 48; observe 2.1 vs 13.0 at 1 element, 8.2 vs 13.4 at 32.
-# The cutoff also picks the float16 range and finite checks of batched
-# solves, so it stays where it was set, below the old rounding's crossover.
+# rounding 1.4 vs 9.2 at 1 element, 2.8 vs 9.1 at 8; observe 2.1 vs 13.0
+# at 1 element, 8.2 vs 13.4 at 32.  It also picks the float16 range and
+# finite checks of batched solves, so it stays where it was set.
 _SMALL = 8
 
 
@@ -186,20 +179,24 @@ class RangeMonitor:
         `rounded` is a float or a float64 array as `quantize` returns it, and
         `raw` has its shape.
         """
-        if isinstance(rounded, float):
-            pairs = ((raw, rounded),)
-        elif rounded.size <= _SMALL:
-            pairs = zip(np.ravel(raw).tolist(), rounded.ravel().tolist())
-        else:
+        tiny = fmt.min_normal
+        if type(rounded) is float:  # one rounding: the loop's test, inline
+            mag = abs(rounded)
+            if mag == math.inf:
+                if math.isfinite(raw):
+                    self.overflows += 1
+            elif mag < tiny and (mag > 0.0 or (raw != 0.0 and math.isfinite(raw))):
+                self.underflows += 1
+            return
+        if rounded.size > _SMALL:
             raw = np.asarray(raw)
             finite_raw = np.isfinite(raw)
             self.overflows += int(np.count_nonzero(np.isinf(rounded) & finite_raw))
             mag = np.abs(rounded)
-            sub = (mag < fmt.min_normal) & ((mag > 0) | ((rounded == 0) & (raw != 0) & finite_raw))
+            sub = (mag < tiny) & ((mag > 0) | ((rounded == 0) & (raw != 0) & finite_raw))
             self.underflows += int(np.count_nonzero(sub))
             return
-        tiny = fmt.min_normal
-        for r, q in pairs:
+        for r, q in zip(np.ravel(raw).tolist(), rounded.ravel().tolist()):
             mag = abs(q)
             if mag == math.inf:
                 if math.isfinite(r):
@@ -212,6 +209,7 @@ class RangeMonitor:
 # is IEEE round-to-nearest-even with gradual underflow and overflow to inf,
 # i.e. exactly the rounding contract.  Exhaustive tests pin the equivalence.
 _NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
@@ -232,9 +230,24 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
     return y
 
 
-def _quantize_array(x: np.ndarray, fmt: FloatFormat, scalar) -> np.ndarray:
+def _round_float(x: float, fmt: FloatFormat) -> float:
+    """`quantize` of a float in a narrow format; `quantize` inlines it."""
+    tiny, top, splitter = fmt._split
+    if tiny <= abs(x) <= top:
+        g = splitter * x
+        return g + (x - g)
+    return _quantize_scalar(x, fmt)
+
+
+def _quantize_other(x, fmt: FloatFormat):
+    """`quantize` of what its own two fast paths do not take, in a narrow format."""
+    if isinstance(x, (float, int)):
+        return _round_float(float(x), fmt)
+    x = np.asarray(x, dtype=np.float64)
+    if fmt._native is not None:
+        return x.astype(fmt._native).astype(np.float64)
     if x.size <= _SMALL:
-        return np.array([scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.array([_round_float(v, fmt) for v in x.ravel().tolist()]).reshape(x.shape)
     _, e = np.frexp(x)
     shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
     y = np.ldexp(np.rint(np.ldexp(x, -shift)), shift)
@@ -247,32 +260,6 @@ def _quantize_array(x: np.ndarray, fmt: FloatFormat, scalar) -> np.ndarray:
     return y
 
 
-def _carrier(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def _bind_rounders(fmt: FloatFormat):
-    """The (scalar, array) rounding functions of `fmt`; see `FloatFormat._rounders`."""
-    if fmt.mantissa_bits >= 52:
-        return float, _carrier
-    # Veltkamp splitting (module docstring), for normal values within range
-    # whose product with `split` stays finite in float64.
-    split = 2.0 ** (52 - fmt.mantissa_bits) + 1.0
-    tiny, top = fmt.min_normal, min(fmt.max_finite, sys.float_info.max / split)
-
-    def scalar(x):
-        x = float(x)
-        if tiny <= abs(x) <= top:
-            g = split * x
-            return g + (x - g)
-        return _quantize_scalar(x, fmt)
-
-    native = fmt._native
-    if native is None:
-        return scalar, lambda x: _quantize_array(_carrier(x), fmt, scalar)
-    return scalar, lambda x: _carrier(x).astype(native).astype(np.float64)
-
-
 def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     """Round to the nearest value representable in `fmt`, ties to even.
 
@@ -281,11 +268,25 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     NaN keeps the input's sign on every path (so a batch row rounds like
     the same values alone), though not necessarily its payload.  float64 is
     a passthrough (the carrier itself); the result may then alias the input,
-    and a monitor sees nothing.
+    and a monitor sees nothing.  Only arrays can warn: the float16/float32
+    cast and bfloat16 arrays over `_SMALL` elements emit numpy's overflow
+    `RuntimeWarning`, which solves silence and direct callers see.
     """
-    scalar, array = fmt._rounders
-    out = scalar(x) if isinstance(x, (float, int)) else array(x)
-    if monitor is not None and scalar is not float:  # float64 rounds nothing
+    split = fmt._split
+    if split is None:  # float64 rounds nothing
+        return float(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=np.float64)
+    if type(x) is float:
+        tiny, top, splitter = split
+        if tiny <= abs(x) <= top:
+            g = splitter * x
+            out = g + (x - g)
+        else:
+            out = _quantize_scalar(x, fmt)
+    elif type(x) is np.ndarray and x.dtype is _FLOAT64 and fmt._native is not None:
+        out = x.astype(fmt._native).astype(np.float64)
+    else:
+        out = _quantize_other(x, fmt)
+    if monitor is not None:
         monitor.observe(x, out, fmt)
     return out
 

@@ -1,6 +1,7 @@
 """Backward-pass tests: scale management, accumulators, and update rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mpode.adjoint import (
     trapezoid_weights,
 )
 from mpode.dynamics import FieldVjp, LinearField, MlpField, Params, PolyDecayField, VelocityField
-from mpode.integrate import Scheme, TimeGrid, forward
+from mpode.integrate import NonFiniteState, Scheme, TimeGrid, forward
 from mpode.oracles import fd_gradient
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, get_format
 from mpode.runners import decay_benchmark
@@ -313,6 +314,31 @@ class TestOverflowHandling:
         )
         assert trace.total_rescales > 0  # the inflated scale forced rescues
         assert field.eval_count == 12 * 4  # and none of them re-evaluated
+
+
+    @pytest.mark.parametrize("policy", [ScalingPolicy.unscaled(), ScalingPolicy.dynamic()],
+                             ids=lambda p: p.kind.value)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowing_solve_warns_nothing(self, policy, dim):
+        # `quantize` lets numpy's overflow warnings reach direct callers
+        # (its docstring says which paths); forward and backward silence
+        # them, on the float path (dim 1) and the array path (dim 2) alike.
+        if dim == 1:
+            field, params, x = PolyDecayField(), Params([0.4, -1.1, 0.9]), np.array([1.0])
+            bad_params, bad_x = Params([1e6, 0.0, 0.0]), x
+        else:
+            field, params, x = LinearField([[-0.2, 1.0], [-1.0, -0.2]]), None, np.array([1.0, -1.0])
+            bad_params, bad_x = None, np.array([6e4, 6e4])
+        grid = TimeGrid.uniform(1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                forward(Scheme.RK4, field, bad_x, grid, bad_params, FLOAT16, FLOAT32)
+            traj = forward(Scheme.RK4, field, x, grid, params, FLOAT16, FLOAT32)
+            g = backward(Scheme.RK4, field, traj, params, terminal_objective(factor=300000.0),
+                         policy, FLOAT16, FLOAT32)
+        finite = np.all(np.isfinite(g.d_x))
+        assert finite == (policy.kind is not adjoint.PolicyKind.UNSCALED)
 
 
 class TestRangeCounts:

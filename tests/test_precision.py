@@ -567,6 +567,76 @@ class TestDotOracle:
                 assert (mon.underflows, mon.overflows) == (arr_mon.underflows, arr_mon.overflows)
 
 
+def _rounded(x, fmt):
+    """`quantize(x, fmt)` and the [underflows, overflows] of a fresh monitor."""
+    mon = RangeMonitor()
+    out = quantize(x, fmt, mon)
+    return out, [mon.underflows, mon.overflows]
+
+
+# Random float64 bit patterns: any pattern, or one with an exponent in
+# 2**-150..2**130, every narrow format's range, with a random sign.
+_BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0x3690_0000_0000_0000, 0x4810_0000_0000_0000).map(lambda b: b | (b & 1) << 63),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestQuantizeDispatch:
+    """`quantize` rounds a float, and a float64 array in a format with a
+    native dtype, in its own frame; every other input kind takes the general
+    code and must agree with those paths bit for bit and count for count."""
+
+    @ALL_FORMATS
+    def test_scalar_kinds_match_the_float_path(self, fmt):
+        ints = [0, 1, -3, 2049, 65519, 65520, -(10**6), 2**53 + 1, -(2**62) - 1, True, False]
+        for v in ints + _edge_values(fmt) + [0.1, -(2.0**-20), 1e300]:
+            want, counts = _rounded(float(v), fmt)
+            assert type(want) is float
+            for x in [np.float64(v), np.array(float(v))] + ([v] if isinstance(v, int) else []):
+                got, got_counts = _rounded(x, fmt)
+                if isinstance(x, np.ndarray):  # a 0-d array stays a 0-d float64 array
+                    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
+                else:
+                    assert type(got) is float, (fmt.name, x, type(got))
+                assert _same_bits(got, want) and np.signbit(got) == np.signbit(want), (fmt.name, x, got)
+                assert got_counts == counts, (fmt.name, x)
+
+    @ALL_FORMATS
+    def test_other_dtypes_round_like_their_carrier(self, fmt):
+        rng = np.random.default_rng(7)
+        f32 = np.ldexp(rng.standard_normal(12), rng.integers(-150, 130, size=12)).astype(np.float32)
+        # 2**62 + 2**38 + 1 rounds to a float32 tie in the carrier, which goes
+        # down to even; a direct int64 -> float32 cast would round it up.
+        i64 = np.array([0, 1, -1, 3, 2049, 65504, 65519, 65520, -70000, 2**24 + 1, 2**53 + 1,
+                        2**62 + 2**38 + 1], dtype=np.int64)
+        swapped = np.ldexp(rng.standard_normal(12), rng.integers(-150, 130, size=12)).astype(">f8")
+        for x in (f32, i64, swapped):
+            for k in (1, _SMALL, x.size):  # both sides of the small-input cutoff
+                carrier = x[:k].astype(np.float64)
+                want, counts = _rounded(carrier, fmt)
+                got, got_counts = _rounded(x[:k], fmt)
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64, (fmt.name, x.dtype)
+                assert _same_bits(got, want) and got_counts == counts, (fmt.name, x[:k])
+
+    @ALL_FORMATS
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.lists(_BIT_PATTERNS, min_size=9, max_size=9))
+    def test_float_path_matches_array_paths(self, fmt, bits):
+        xs = np.array(bits, dtype=np.uint64).view(np.float64)
+        floats = [_rounded(v, fmt) for v in xs.tolist()]
+        want = np.array([out for out, _ in floats])
+        for i, (out, counts) in enumerate(floats):
+            assert type(out) is float
+            got, got_counts = _rounded(xs[i:i + 1].copy(), fmt)
+            assert _same_bits(got, [out]) and np.signbit(got[0]) == np.signbit(out), (fmt.name, xs[i])
+            assert got_counts == counts, (fmt.name, xs[i])
+        got, got_counts = _rounded(xs, fmt)
+        assert _same_bits(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), fmt.name
+        assert got_counts == [sum(c[j] for _, c in floats) for j in (0, 1)], fmt.name
+
+
 class TestRoundedOps:
     def test_add_rounds_once(self):
         # 2048 + 1 is exact in the carrier but rounds to 2048 in float16

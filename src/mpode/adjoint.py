@@ -247,7 +247,7 @@ def backward(
     ys = states[:, 0].tolist() if one else states
     a = quantize(float(a[0]) if one else a, fmt_high)
     g = np.zeros((*lead, field.dim_params))
-    tgrad = np.zeros((n + 1, *lead))
+    tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))  # made an array on return
     running = objective.running
     if running is not None:
         ry = quantize(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
@@ -280,7 +280,7 @@ def backward(
             raise ExhaustedRescale(i)
         if safe and not v.finite():
             d_theta = np.full((*lead, field.dim_params), np.inf)
-            return Gradients(np.reshape(a, states.shape[1:]), d_theta, tgrad)
+            return Gradients(np.reshape(a, states.shape[1:]), d_theta, np.asarray(tgrad))
         if dynamic and trace is not None:
             trace.scales.append(scale)
             trace.rescale_counts.append(attempts - 1)
@@ -318,7 +318,7 @@ def backward(
     if trace is not None:
         trace.scales.reverse()
         trace.rescale_counts.reverse()
-    return Gradients(np.reshape(a, states.shape[1:]), np.asarray(g), tgrad)
+    return Gradients(np.reshape(a, states.shape[1:]), np.asarray(g), np.asarray(tgrad))
 
 
 def objective_value(objective: Objective, traj: Trajectory, theta: np.ndarray) -> float:

@@ -9,10 +9,11 @@ double rounding harmless for every format here, including emulated float32
 (2*24 + 2 = 50 <= 53).
 
 Reductions round after every partial accumulation in a fixed left-to-right
-order, so there is no hidden wide accumulator.  `dot` takes all its partial
-sums from one strict left-to-right `np.add.accumulate`: in float64 rounding
-is the identity, and in float16/float32 the accumulate runs in the native
-dtype, whose float16 add rounds through float32 first, which is again
+order, so there is no hidden wide accumulator.  `dot` forms its exact
+products once and takes all its partial sums from one strict left-to-right
+`np.add.accumulate`: in float64 rounding is the identity, and float16 and
+float32 cast the products once to the native dtype and accumulate there,
+where the float16 add rounds through float32 first, which is again
 harmless because 24 >= 2*11 + 2 (Figueroa, 1995).  `np.sum`,
 `np.add.reduce` and `@` reassociate the sum (pairwise, a float32
 accumulator, BLAS) and must never stand in for it.
@@ -27,7 +28,10 @@ format has no native dtype, one element at a time in plain Python.
 
 `quantize` rounds the two common inputs in its own frame, from constants
 cached per format (`FloatFormat._split`, `_native`), and nothing it calls
-calls it back, so one rounded op is one `quantize` call.  A float with
+calls it back, so an elementwise rounded op is one `quantize` call.  A `dot`
+of two or more terms in float16, float32 or float64 rounds (or, in float64,
+keeps) its products and partial sums in its own frame with no `quantize`
+call, monitored or not; bfloat16 and one-term `dot`s call it.  A float with
 min_normal <= |x| <= max_finite is rounded by Veltkamp splitting (Dekker,
 1971; Boldo, "Pitfalls of a full floating-point proof", 2006): with
 g = (2**(52 - mantissa_bits) + 1) * x, the float64 sum g + (x - g) is x
@@ -246,8 +250,11 @@ def _quantize_other(x, fmt: FloatFormat):
     x = np.asarray(x, dtype=np.float64)
     if fmt._native is not None:
         return x.astype(fmt._native).astype(np.float64)
-    if x.size <= _SMALL:
-        return np.array([_round_float(v, fmt) for v in x.ravel().tolist()]).reshape(x.shape)
+    if x.size <= _SMALL:  # `_round_float` inlined, its constants bound once
+        tiny, top, splitter = fmt._split
+        out = [(g := splitter * v) + (v - g) if tiny <= abs(v) <= top else _quantize_scalar(v, fmt)
+               for v in x.ravel().tolist()]
+        return np.array(out).reshape(x.shape)
     _, e = np.frexp(x)
     shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
     y = np.ldexp(np.rint(np.ldexp(x, -shift)), shift)
@@ -341,38 +348,44 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     with a rounding after each addition: there is no fused multiply-add.
     Leading axes broadcast, so a matrix-vector product is `dot(W, v, fmt)`.
 
-    The partial sums come from one `np.add.accumulate`, which is a strict
-    left-to-right recursive sum, in the format's native dtype where it has
-    one.  In float64 rounding is the identity, so that is the sum itself.
+    The exact float64 products are formed once.  float16 and float32 round
+    them with one cast to their native dtype and take the partial sums from
+    one `np.add.accumulate` there, a strict left-to-right recursive sum; a
+    monitor observes those same values and changes none.  In float64
+    rounding is the identity, so the products are accumulated as they are.
     numpy's float16 add rounds the exact sum to float32 and then to float16,
     which equals one rounding because 24 >= 2*11 + 2 (Figueroa, "When is
     double rounding innocuous?", 1995).  `np.sum`, `np.add.reduce` and `@`
     must not replace it: they sum pairwise, in a float32 accumulator or
     through BLAS, in an order that is not left to right.  bfloat16 has no
-    native dtype and rounds each partial sum with its own `quantize` call.
+    native dtype and rounds the products and each partial sum with its own
+    `quantize` call.
 
     1-D inputs give a float; inputs with leading axes give a float64 array.
     Two floats give their rounded product, the one-term sum it is.
     """
     if isinstance(a, float) and isinstance(b, float):
         return quantize(a * b, fmt, monitor)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    p = np.atleast_1d(quantize(a * b, fmt, monitor))
-    if p.shape[-1] == 1:
+    raw = np.multiply(a, b, dtype=np.float64)  # casts only what is not float64
+    if raw.ndim == 0:  # two 0-d inputs multiply to a numpy scalar
+        raw = raw.reshape(1)
+    if raw.shape[-1] == 1:
+        p = quantize(raw, fmt, monitor)
         return float(p[0]) if p.ndim == 1 else p[..., 0]
     native = fmt._native
     if fmt.mantissa_bits >= 52:
-        acc = np.add.accumulate(p, axis=-1)
+        acc = np.add.accumulate(raw, axis=-1)
     elif native is not None:
-        acc = np.add.accumulate(p.astype(native), axis=-1)
+        p = raw.astype(native)
+        acc = np.add.accumulate(p, axis=-1)
         if monitor is not None:
-            acc = acc.astype(np.float64)
+            p, acc = p.astype(np.float64), acc.astype(np.float64)
+            monitor.observe(raw, p, fmt)
             monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
     else:
+        p = quantize(raw, fmt, monitor)
         acc = p[..., 0]
         for j in range(1, p.shape[-1]):
             acc = quantize(acc + p[..., j], fmt, monitor)
         return acc
     return float(acc[-1]) if acc.ndim == 1 else acc[..., -1].astype(np.float64)
-

@@ -542,29 +542,40 @@ class TestOneComponentFloatPath:
 
 
 class TestRoundingCallCount:
-    def test_mlp_euler_step_quantize_calls(self, monkeypatch):
-        # Exact on any host: one dot rounds its products and its partial
-        # sums with one call each, so a per-column rounding loop in dot
-        # would add a call per input column of every layer.
-        calls = []
-        real = precision.quantize
+    @pytest.mark.parametrize("monitored", [False, True], ids=["unmonitored", "monitored"])
+    def test_mlp_euler_step_quantize_calls(self, monkeypatch, monitored):
+        # Exact on any host.  A float16 dot of arrays rounds its products
+        # and partial sums by native casts without calling quantize, with or
+        # without a monitor, which observes each of the two with one call.
+        # A per-column rounding loop in dot would add a call per input
+        # column of every layer.
+        calls, observed = [], []
+        real, real_observe = precision.quantize, RangeMonitor.observe
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
+        def counting_observe(self, *args):
+            observed.append(1)
+            return real_observe(self, *args)
+
         for module in (precision, dynamics, integrate, adjoint):
             monkeypatch.setattr(module, "quantize", counting)
+        monkeypatch.setattr(RangeMonitor, "observe", counting_observe)
+        monitor = RangeMonitor() if monitored else None
         field = MlpField((2, 16, 16, 2))
         params = field.init_params(0)
         grid = TimeGrid.uniform(1.0, 1)
-        traj = forward(Scheme.EULER, field, np.array([0.5, -0.25]), grid, params, FLOAT16, FLOAT32)
-        assert len(calls) == 17
+        traj = forward(
+            Scheme.EULER, field, np.array([0.5, -0.25]), grid, params, FLOAT16, FLOAT32, monitor=monitor
+        )
+        assert (len(calls), len(observed)) == ((14, 12) if monitored else (14, 0))
         backward(
             Scheme.EULER, field, traj, params, terminal_objective(),
-            ScalingPolicy.unscaled(), FLOAT16, FLOAT32,
+            ScalingPolicy.unscaled(), FLOAT16, FLOAT32, monitor=monitor,
         )
-        assert len(calls) == 53
+        assert (len(calls), len(observed)) == ((43, 40) if monitored else (43, 0))
 
 
 class AlwaysInfVjpField(VelocityField):

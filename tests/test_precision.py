@@ -502,455 +502,6 @@ _BIT_PATTERNS = st.one_of(
 
 
 ALL_FORMATS = pytest.mark.parametrize(
-    "fmt,oracle",
-    [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16), (FLOAT32, round_float32)],
-    ids=["float16", "bfloat16", "float32"],
-)
-
-
-class TestQuantizeExact:
-    def test_float16_idempotent_on_all_patterns(self):
-        vals = all_float16_values()
-        out = quantize(vals, FLOAT16)
-        finite = np.isfinite(vals)
-        assert np.array_equal(out[finite], vals[finite])
-        assert np.array_equal(np.signbit(out[finite]), np.signbit(vals[finite]))
-        assert np.all(np.isnan(out[np.isnan(vals)]))
-        assert np.array_equal(out[np.isinf(vals)], vals[np.isinf(vals)])
-
-    @pytest.mark.parametrize(
-        "fmt,oracle",
-        [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16), (FLOAT32, round_float32)],
-        ids=["float16", "bfloat16", "float32"],
-    )
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_random_doubles_match_oracle(self, fmt, oracle):
-        rng = np.random.default_rng(20240811)
-        m = rng.standard_normal(100_000)
-        e = rng.integers(-45, 45, size=100_000)
-        x = np.ldexp(m, e)
-        got = quantize(x, fmt)
-        want = np.array([oracle(float(v)) for v in x])
-        assert np.array_equal(got, want, equal_nan=True)
-
-    @pytest.mark.parametrize(
-        "fmt,oracle",
-        [(FLOAT16, round_float16), (BFLOAT16, round_bfloat16)],
-        ids=["float16", "bfloat16"],
-    )
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_scalar_path_matches_array_path(self, fmt, oracle):
-        # One array of 2,000 takes the vectorised path; a 1-element array
-        # would take the same per-element path as the scalar.
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal(2_000)
-        e = rng.integers(-45, 45, size=2_000)
-        x = np.ldexp(m, e)
-        for v, a in zip(x.tolist(), quantize(x, fmt).tolist()):
-            s = quantize(v, fmt)
-            assert s == a == oracle(v)
-            assert isinstance(s, float)
-
-    @staticmethod
-    def _check_scalar_path(xs: np.ndarray, fmt, oracle, native=None) -> None:
-        """Every value of `xs` as a Python float: bits and sign against the
-        integer oracle and, given a `native` dtype, numpy's cast, and a
-        Python float back."""
-        got = [quantize(v, fmt) for v in xs.tolist()]
-        assert all(type(g) is float for g in got)
-        got = np.array(got)
-        want = np.array([oracle(v) for v in xs.tolist()])
-        assert _same_bits(got, want), xs[got.view(np.uint64) != want.view(np.uint64)][:5]
-        if native is not None:
-            with np.errstate(over="ignore"):
-                assert _same_bits(got, xs.astype(native).astype(np.float64))
-        assert np.array_equal(np.signbit(got), np.signbit(xs))
-
-    def test_float16_scalar_path_exhaustive(self):
-        # Every finite value, every midpoint between neighbours (65520 is the
-        # one above max_finite), and the float64 neighbours of each midpoint.
-        vals = all_float16_values()
-        vals = vals[np.isfinite(vals)]
-        pos = np.unique(np.abs(vals))
-        mids = np.append((pos[:-1] + pos[1:]) / 2, 65520.0)
-        mids = np.concatenate([mids, -mids])
-        near = [np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
-        xs = np.concatenate([vals, mids, *near])
-        assert xs.size > 250_000
-        self._check_scalar_path(xs, FLOAT16, round_float16, np.float16)
-
-    def test_bfloat16_scalar_path_exhaustive(self):
-        # The same for bfloat16: max_finite + 2**119 is the midpoint above
-        # max_finite.
-        vals = finite_bfloat16_values()
-        pos = np.unique(np.abs(vals))
-        mids = np.append((pos[:-1] + pos[1:]) / 2, BFLOAT16.max_finite + 2.0**119)
-        mids = np.concatenate([mids, -mids])
-        near = [np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)]
-        xs = np.concatenate([vals, mids, *near])
-        assert xs.size > 250_000
-        self._check_scalar_path(xs, BFLOAT16, round_bfloat16)
-
-    def test_float32_scalar_path_sample(self):
-        rng = np.random.default_rng(20261019)
-        # Ties and their neighbours at random exponents, normal and subnormal.
-        sig = rng.integers(1 << 23, 1 << 24, size=4000).astype(np.float64)
-        exps = rng.integers(-149 - 23, 128 - 23, size=4000)
-        ties = np.ldexp(sig + 0.5, exps)
-        sub = np.ldexp(rng.integers(1, 1 << 23, size=2000) + 0.5, -149)
-        # An even and an odd tie in every normal binade, 2**-126 to 2**127.
-        binades = np.arange(-126, 128)
-        even = 2 * rng.integers(1 << 22, 1 << 23, size=binades.size)
-        binade_ties = np.ldexp(np.concatenate([even, even + 1]) + 0.5, np.tile(binades - 23, 2))
-        top = FLOAT32.max_finite
-        edges = np.array([top, np.nextafter(top, np.inf), top + 2.0**103,
-                          np.nextafter(top + 2.0**103, 0.0), 3.4028235e38, FLOAT32.min_normal])
-        # float16's overflow edge, every float32 value there, and midpoints.
-        band = np.arange(65504.0, 65520.0 + 2.0**-8, 2.0**-8)
-        band = np.concatenate([band, band + 2.0**-9])
-        xs = np.concatenate([ties, sub, binade_ties, edges, band])
-        xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
-        xs = np.concatenate([xs, -xs])
-        self._check_scalar_path(xs, FLOAT32, round_float32, np.float32)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
-    def test_scalar_return_types(self, fmt):
-        for x in (3, -7, 10**6, True, np.float64(0.1), np.float64(1e300), 0.1, -0.0, math.inf):
-            got = quantize(x, fmt)
-            assert type(got) is float, (fmt.name, x, type(got))
-            assert got == quantize(np.array([float(x)]), fmt)[0]
-        got = quantize(np.array(0.1), fmt)
-        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
-
-    @SMALL_FORMATS
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_generic_code_sees_only_values_outside_the_normal_range(self, fmt, oracle, monkeypatch):
-        # The split rounder covers min_normal <= |x| <= max_finite; zeros,
-        # the subnormal range, values beyond +-max_finite, +-inf and NaN
-        # take the generic scalar code.
-        generic, seen = precision._quantize_scalar, []
-
-        def spy(x, f):
-            seen.append(x)
-            return generic(x, f)
-
-        monkeypatch.setattr(precision, "_quantize_scalar", spy)
-        fresh = FloatFormat(fmt.name, fmt.exponent_bits, fmt.mantissa_bits)
-        tiny, top = fmt.min_normal, fmt.max_finite
-        half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
-        inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
-                  float(np.nextafter(top, 0.0)), top]
-        outside = [0.0, float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
-                   float(np.nextafter(top, np.inf)), top * (1 + half_ulp / 2), 2 * top, 1e300,
-                   math.inf, math.nan]
-        for xs, generic_calls in ((inside, 0), (outside, 1)):
-            for x in xs + [-x for x in xs]:
-                want = quantize(np.array([x]), fmt)[0]
-                seen.clear()
-                got = quantize(x, fresh)
-                assert _same_bits(seen, [x] * generic_calls), (fmt.name, x, seen)
-                assert type(got) is float and _same_bits(got, want), (fmt.name, x, got, want)
-                assert _same_bits(got, oracle(x)) and np.signbit(got) == np.signbit(x), (fmt.name, x)
-
-    def test_wide_exponent_format_near_float64_max(self):
-        # With float64's exponent range the split product would overflow
-        # near the top; those values take the generic code instead.
-        fmt = FloatFormat("e11m20", 11, 20)
-        top = fmt.max_finite
-        xs = [top, float(np.nextafter(top, 0.0)), top / 3, 2.0**1000 * 1.3, 2.0**-1022 * 1.7, 1e300]
-        for x in xs + [-x for x in xs]:
-            want = round_to_format(x, 20, 11)
-            assert _same_bits(quantize(x, fmt), want) and _same_bits(quantize(np.array([x]), fmt), [want]), x
-
-    @SMALL_FORMATS
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_float64_extremes_round_to_inf(self, fmt, oracle):
-        # +-max double once raised OverflowError on the scalar route, where
-        # the rounded significand carried past float64's own range.
-        mid = fmt.max_finite + 2.0 ** (fmt.bias - fmt.mantissa_bits - 1)  # ties go to inf
-        below = float(np.nextafter(mid, 0.0))
-        top = float(np.finfo(np.float64).max)
-        xs = [top, mid, below, 1e308]
-        xs += [-x for x in xs]
-        native = fmt._native
-        for v in xs:
-            want = oracle(v)
-            if native is not None:
-                assert _same_bits(want, float(np.array([v]).astype(native)[0]))
-            assert want == (fmt.max_finite if abs(v) == below else math.inf) * math.copysign(1.0, v)
-            mon = RangeMonitor()
-            got = quantize(v, fmt, mon)
-            assert type(got) is float and _same_bits(got, want), (fmt.name, v, got)
-            assert mon.overflows == math.isinf(want)
-            for k in (1, _SMALL, _SMALL + 1):
-                got = quantize(np.full(k, v), fmt)
-                assert _same_bits(got, np.full(k, want)), (fmt.name, v, k, got)
-
-    def test_derived_values(self):
-        # one ulp below the rounding threshold collapses onto 1.0 (tie to even)
-        assert quantize(1.0 + 2.0**-11, FLOAT16) == 1.0
-        assert quantize(1.0 + 3.0 * 2.0**-11, FLOAT16) == 1.0 + 2.0**-9
-        # halfway between max finite and the next step overflows
-        assert quantize(65520.0, FLOAT16) == math.inf
-        assert quantize(65519.999999, FLOAT16) == 65504.0
-        assert quantize(-65520.0, FLOAT16) == -math.inf
-        # below half the smallest subnormal rounds to zero
-        assert quantize(2.0**-25, FLOAT16) == 0.0
-        assert quantize(float(np.nextafter(2.0**-25, 1.0)), FLOAT16) == 2.0**-24
-        # the benchmark initial state is exactly representable after rounding
-        assert quantize(65504.0 / 180.0, FLOAT16) == 364.0
-
-    def test_subnormals_are_kept(self):
-        # gradual underflow: values below min_normal survive on the subnormal grid
-        x = 3.0 * 2.0**-26  # 0.75 * min_subnormal
-        assert quantize(x, FLOAT16) == 2.0**-24
-        assert quantize(2.0**-24 * 5, FLOAT16) == 2.0**-24 * 5
-        assert quantize(6e-5, FLOAT16) != 0.0
-        assert quantize(6e-5, FLOAT16) < FLOAT16.min_normal
-
-    def test_float64_passthrough(self):
-        x = np.array([math.pi, 1e300, 5e-324, -0.0])
-        out = quantize(x, FLOAT64)
-        assert np.array_equal(out, x)
-        assert quantize(math.pi, FLOAT64) == math.pi
-
-    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=str)
-    def test_nan_keeps_its_sign(self, fmt):
-        # One rule on every path: scalars, small arrays (per element in
-        # Python) and large arrays (numpy), so a batch row rounds like the
-        # same row alone.
-        for k in (1, 2, _SMALL, _SMALL + 1, 100):
-            signs = np.arange(k) % 2 == 1
-            x = np.where(signs, -math.nan, math.nan)
-            got = quantize(x, fmt)
-            assert np.isnan(got).all()
-            assert np.array_equal(np.signbit(got), signs), (fmt.name, k)
-        for v in (math.nan, -math.nan):
-            got = quantize(v, fmt)
-            assert math.isnan(got) and math.copysign(1.0, got) == math.copysign(1.0, v)
-
-    def test_signed_zero(self):
-        assert math.copysign(1.0, quantize(-0.0, FLOAT16)) == -1.0
-        assert math.copysign(1.0, quantize(-1e-30, FLOAT16)) == -1.0
-        assert np.signbit(quantize(np.array([-1e-40]), BFLOAT16))[0]
-
-
-class TestFormatTable:
-    def test_format_parameters(self):
-        assert FLOAT16.max_finite == 65504.0
-        assert FLOAT16.min_normal == 2.0**-14
-        assert FLOAT16.min_subnormal == 2.0**-24
-        assert FLOAT16.unit_roundoff == 2.0**-11
-        assert BFLOAT16.unit_roundoff == 2.0**-8
-        assert BFLOAT16.max_finite == pytest.approx(3.3895e38, rel=1e-4)
-        assert FLOAT32.unit_roundoff == 2.0**-24
-        assert FLOAT32.max_finite == pytest.approx(3.4028e38, rel=1e-4)
-
-    def test_get_format(self):
-        assert get_format("float16") is FLOAT16
-        with pytest.raises(ValueError):
-            get_format("float8")
-
-    def test_degenerate_format_rejected(self):
-        with pytest.raises(ValueError):
-            FloatFormat("bad", 1, 10)
-
-
-finite_doubles = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e30, max_value=1e30
-)
-
-
-class TestQuantizeProperties:
-    @given(finite_doubles, st.sampled_from(["float16", "bfloat16", "float32"]))
-    def test_idempotent(self, x, name):
-        fmt = get_format(name)
-        once = quantize(x, fmt)
-        assert quantize(once, fmt) == once or (math.isnan(once) and math.isnan(quantize(once, fmt)))
-
-    @given(finite_doubles, finite_doubles, st.sampled_from(["float16", "bfloat16"]))
-    def test_monotone(self, x, y, name):
-        fmt = get_format(name)
-        lo, hi = min(x, y), max(x, y)
-        assert quantize(lo, fmt) <= quantize(hi, fmt)
-
-    @given(
-        finite_doubles,
-        st.integers(min_value=-8, max_value=8),
-        st.sampled_from(["float16", "bfloat16"]),
-    )
-    def test_power_of_two_scaling_exact(self, x, k, name):
-        # scaling by 2^k shifts exponents only, so rounding commutes with it
-        # whenever neither side leaves the normal range
-        fmt = get_format(name)
-        s = 2.0**k
-        mon = RangeMonitor()
-        a = quantize(x * s, fmt, mon)
-        b = quantize(x, fmt, mon) * s
-        if mon.clean and abs(x) > 1e-3 and abs(x) < 1e3:
-            assert a == b
-
-    @given(st.floats(min_value=1e-3, max_value=1e3), st.sampled_from(["float16", "bfloat16"]))
-    def test_relative_error_bound(self, x, name):
-        fmt = get_format(name)
-        y = quantize(x, fmt)
-        assert abs(y - x) <= fmt.unit_roundoff * abs(x)
-
-    @given(st.lists(finite_doubles, min_size=1, max_size=7))
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_vector_matches_elementwise(self, xs):
-        arr = np.array(xs)
-        out = quantize(arr, FLOAT16)
-        for i, v in enumerate(xs):
-            got, want = out[i], quantize(float(v), FLOAT16)
-            assert got == want or (math.isnan(got) and math.isnan(want))
-
-
-class TestRangeMonitor:
-    def test_counts_overflow(self):
-        mon = RangeMonitor()
-        quantize(1e6, FLOAT16, mon)
-        assert mon.overflows == 1 and not mon.clean
-
-    def test_counts_underflow_to_zero_and_subnormal(self):
-        mon = RangeMonitor()
-        quantize(2.0**-26, FLOAT16, mon)  # rounds to zero
-        quantize(2.0**-20, FLOAT16, mon)  # lands on the subnormal grid
-        assert mon.underflows == 2
-
-    def test_exact_zero_and_infinite_input_not_counted(self):
-        mon = RangeMonitor()
-        quantize(0.0, FLOAT16, mon)
-        quantize(math.inf, FLOAT16, mon)
-        assert mon.clean
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_vector_counts(self):
-        mon = RangeMonitor()
-        quantize(np.array([1e6, -1e6, 1.0, 2.0**-26]), FLOAT16, mon)
-        assert mon.overflows == 2 and mon.underflows == 1
-
-
-def _count_range(raw: float, out: float, fmt, counts: list) -> None:
-    """RangeMonitor's rules for one rounding, added to [underflows, overflows]."""
-    if math.isinf(out) and math.isfinite(raw):
-        counts[1] += 1
-    elif abs(out) < fmt.min_normal and (out != 0.0 or (raw != 0.0 and math.isfinite(raw))):
-        counts[0] += 1
-
-
-def _edge_values(fmt) -> list[float]:
-    """Signed zeros, infinities, NaN, range boundaries and ties of `fmt`."""
-    half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
-    tiny = fmt.min_subnormal
-    ties = [1.0 + half_ulp, 1.0 + 3.0 * half_ulp, -(1.0 + half_ulp), tiny / 2, 1.5 * tiny, -tiny / 2]
-    bounds = [fmt.min_normal, -fmt.min_normal, fmt.max_finite, -fmt.max_finite]
-    bounds += [2.0**-126, 2.0**-133, 2.0**-134, 3.3895e38, 1e39, 65520.0, -65520.0]
-    return [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan] + bounds + ties
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-class TestSmallInputPaths:
-    """Inputs of at most `_SMALL` elements round and range-check one element
-    at a time in Python; sizes up to `_SMALL + 2` also cover the array path."""
-
-    @SMALL_FORMATS
-    def test_arrays_match_oracle_and_counts(self, fmt, oracle):
-        rng = np.random.default_rng(20261019)
-        edges = _edge_values(fmt)
-        for k in range(_SMALL + 3):
-            for shape in [(k,), (1, k), (k, 1)] + ([()] if k == 1 else []):
-                for _ in range(40):
-                    x = np.ldexp(rng.standard_normal(k), rng.integers(-155, 135, size=k))
-                    pick = rng.random(k) < 0.5
-                    x[pick] = rng.choice(edges, size=int(pick.sum()))
-                    x = x.reshape(shape)
-                    mon = RangeMonitor()
-                    got = quantize(x, fmt, mon)
-                    counts = [0, 0]
-                    want = []
-                    for v in x.ravel().tolist():
-                        want.append(oracle(v))
-                        _count_range(v, want[-1], fmt, counts)
-                    assert isinstance(got, np.ndarray) and got.dtype == np.float64
-                    assert _same_bits(got, np.array(want).reshape(shape)), (fmt.name, x, got)
-                    nan = np.isnan(x)
-                    assert np.array_equal(np.signbit(got[nan]), np.signbit(x[nan])), (fmt.name, x)
-                    assert [mon.underflows, mon.overflows] == counts, (fmt.name, x)
-
-    @SMALL_FORMATS
-    def test_scalars_match_oracle_and_counts(self, fmt, oracle):
-        for v in _edge_values(fmt) + [1.0, -3.0e-6, 7.0e4, 1.0e-30]:
-            want = oracle(v)
-            counts = [0, 0]
-            _count_range(v, want, fmt, counts)
-            for x in (v, np.array(v)):
-                mon = RangeMonitor()
-                got = quantize(x, fmt, mon)
-                if isinstance(x, float):
-                    assert type(got) is float
-                else:  # a 0-d array stays a 0-d float64 array in every format
-                    assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == np.float64
-                assert _same_bits(got, want), (fmt.name, v, got)
-                assert np.signbit(got) == np.signbit(v), (fmt.name, v, got)  # NaN too
-                assert [mon.underflows, mon.overflows] == counts, (fmt.name, v)
-
-
-def _reference_dot(a_row, b_row, fmt):
-    """Left-to-right dot of one row with its RangeMonitor counts.
-
-    Products and partial sums each round once: float16 with the integer
-    oracle, float32 through np.float32, bfloat16 with the integer oracle,
-    float64 not at all.  Counts follow RangeMonitor's definitions, and
-    float64 counts nothing because its rounding is the identity.
-    """
-    rnd = {
-        FLOAT16: round_float16, BFLOAT16: round_bfloat16,
-        FLOAT32: lambda x: float(np.float32(x)), FLOAT64: float,
-    }[fmt]
-    counts = [0, 0]
-
-    def round_counted(raw):
-        out = raw if raw != raw else rnd(raw)  # a NaN keeps its sign
-        if fmt is not FLOAT64:
-            _count_range(raw, out, fmt, counts)
-        return out
-
-    with np.errstate(all="ignore"):
-        prods = [round_counted(float(x) * float(y)) for x, y in zip(a_row, b_row)]
-        acc = prods[0]
-        for p in prods[1:]:
-            acc = round_counted(acc + p)
-    return acc, counts
-
-
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    if got.shape != want.shape:
-        return False
-    same = (np.isnan(got) & np.isnan(want)) | (got.view(np.uint64) == want.view(np.uint64))
-    return bool(same.all())
-
-
-def _check_dot(a, b, fmt):
-    """dot(a, b) against the row-by-row reference: bits, counts, return type."""
-    mon = RangeMonitor()
-    got = dot(a, b, fmt, mon)
-    a2, b2 = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    k = a2.shape[-1]
-    rows = [_reference_dot(ra, rb, fmt) for ra, rb in zip(a2.reshape(-1, k), b2.reshape(-1, k))]
-    want = np.array([r[0] for r in rows]).reshape(a2.shape[:-1])
-    assert _same_bits(got, want), (fmt.name, a, b, got, want)
-    assert mon.underflows == sum(r[1][0] for r in rows)
-    assert mon.overflows == sum(r[1][1] for r in rows)
-    if a2.ndim == 1:
-        assert type(got) is float
-    else:
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
-
-
-ALL_FORMATS = pytest.mark.parametrize(
     "fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64], ids=lambda f: f.name
 )
 

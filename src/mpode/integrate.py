@@ -23,7 +23,7 @@ Time, step size and the parameters are shared by all rows.
 A state with one component (`x.shape == (1,)`, not a batch of one) runs on
 Python floats: `forward` carries the high-precision state and the stage
 inputs as floats, and only the stored `states` rows are arrays.  A rounded
-`mul` costs 6-10 times more on a 1-element array than on a float, and the
+`mul` costs 8-14 times more on a 1-element array than on a float, and the
 two round alike, so the results, the monitor counts and the op sequence
 are those of the `(1,)` array.  The path is chosen from the input's shape
 alone, here and in `adjoint.backward`; `final_hp` keeps its `(1,)` shape.
@@ -92,6 +92,7 @@ class _Tableau:
         # stage's slot among them (None for a unit weight): the reverse
         # sweep forms each distinct b * cotangent product once.
         self.weights = tuple(dict.fromkeys(v for v in b if v != 1.0))
+        self._rounded = {}  # format -> weights rounded to it
         slots = [None if v == 1.0 else self.weights.index(v) for v in b]
         self.forward = tuple(zip(c, rows, slots))
         # Reverse sweep, last stage first: each stage j's weight slot and the
@@ -105,6 +106,13 @@ class _Tableau:
         self.dh_terms = tuple(
             (i, j, v) for i, (ci, row) in enumerate(zip(c, rows)) for j, v in [(None, ci), *row] if v
         )
+
+    def rounded_weights(self, fmt: FloatFormat) -> tuple:
+        """`weights` rounded to `fmt`, rounded on the first call only."""
+        out = self._rounded.get(fmt)
+        if out is None:
+            out = self._rounded[fmt] = tuple(quantize(v, fmt) for v in self.weights)
+        return out
 
 
 _TABLEAUX = {
@@ -188,7 +196,7 @@ def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
     Summing raw stages first peaks near 6|dy| for RK4 and can overflow a
     narrow format even when every stage and every state is in range.
     """
-    weights = [quantize(v, fmt) for v in tab.weights]
+    weights = tab.rounded_weights(fmt)
     ks, pulls = [], []
     dy = None
     for c, row, slot in tab.forward:

@@ -1,6 +1,7 @@
 """Backward-pass tests: scale management, accumulators, and update rule."""
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -548,7 +549,9 @@ class TestRoundingCallCount:
         # and partial sums by native casts without calling quantize, with or
         # without a monitor, which observes each of the two with one call.
         # A per-column rounding loop in dot would add a call per input
-        # column of every layer.
+        # column of every layer.  Float ops round in their own frame and
+        # call quantize only for a value outside the normal range: the step
+        # size h and the backward's scalar time-gradient terms make none.
         calls, observed = [], []
         real, real_observe = precision.quantize, RangeMonitor.observe
 
@@ -570,12 +573,58 @@ class TestRoundingCallCount:
         traj = forward(
             Scheme.EULER, field, np.array([0.5, -0.25]), grid, params, FLOAT16, FLOAT32, monitor=monitor
         )
-        assert (len(calls), len(observed)) == ((14, 12) if monitored else (14, 0))
+        assert (len(calls), len(observed)) == ((13, 12) if monitored else (13, 0))
         backward(
             Scheme.EULER, field, traj, params, terminal_objective(),
             ScalingPolicy.unscaled(), FLOAT16, FLOAT32, monitor=monitor,
         )
-        assert (len(calls), len(observed)) == ((43, 40) if monitored else (43, 0))
+        assert (len(calls), len(observed)) == ((39, 40) if monitored else (39, 0))
+
+
+    def test_polydecay_rk4_step_observes_only_roundings_out_of_range(self, monkeypatch):
+        # A one-component step runs on floats: a rounded float whose exact
+        # value is in [min_normal, max_finite] never reaches the monitor,
+        # and every other one reaches it once.  Each monitored op that the
+        # modules call is wrapped to redo its exact value; arrays (the
+        # pullback's dtheta) are observed once per op.
+        exact = {"quantize": (1, lambda x: x), "add": (2, operator.add), "sub": (2, operator.sub),
+                 "mul": (2, operator.mul), "dot": (2, operator.mul)}
+        tally = {"inside": 0, "outside": 0, "arrays": 0}
+        observed = []
+        real_observe = RangeMonitor.observe
+
+        def counting_observe(self, *args):
+            observed.append(1)
+            return real_observe(self, *args)
+
+        def tallying(name, fn):
+            arity, value = exact[name]
+
+            def op(*args):
+                fmt, monitor = (*args[arity:], None)[:2]
+                if monitor is not None:
+                    x = value(*args[:arity])
+                    if type(x) is not float:
+                        tally["arrays"] += 1
+                    else:
+                        tally["inside" if fmt.min_normal <= abs(x) <= fmt.max_finite else "outside"] += 1
+                return fn(*args)
+            return op
+
+        for module in (dynamics, integrate, adjoint):
+            for name in exact:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, tallying(name, getattr(precision, name)))
+        monkeypatch.setattr(RangeMonitor, "observe", counting_observe)
+        field, params, x, _ = decay_benchmark()
+        monitor = RangeMonitor()
+        traj = forward(Scheme.RK4, field, x, TimeGrid.uniform(0.5, 1), params, FLOAT16, FLOAT32, monitor)
+        backward(
+            Scheme.RK4, field, traj, params, terminal_objective(),
+            ScalingPolicy.dynamic(), FLOAT16, FLOAT32, monitor=monitor,
+        )
+        assert tally["inside"] > tally["outside"] > 0 and tally["arrays"] > 0, tally
+        assert len(observed) == tally["outside"] + tally["arrays"], tally
 
 
 class AlwaysInfVjpField(VelocityField):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mpode import integrate
 from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.integrate import (
     NonFiniteState,
@@ -63,6 +64,17 @@ class TestScheme:
         assert Scheme.RK4.stages == 4
         with pytest.raises(ValueError):
             Scheme.from_name("rk45")
+
+    def test_weights_are_rounded_once_per_format(self, monkeypatch):
+        tab = integrate._TABLEAUX[Scheme.RK4]
+        want = {fmt: tuple(quantize(v, fmt) for v in (1.0 / 6.0, 1.0 / 3.0)) for fmt in (FLOAT16, BFLOAT16)}
+        calls = []
+        monkeypatch.setattr(integrate, "quantize", lambda x, fmt: calls.append(x) or quantize(x, fmt))
+        monkeypatch.setattr(tab, "_rounded", {})
+        for _ in range(3):
+            for fmt, weights in want.items():
+                assert tab.rounded_weights(fmt) == weights
+        assert len(calls) == 4
 
 
 class TestIncrement:

@@ -1,6 +1,7 @@
 """Rounding-layer tests: exactness against an independent oracle."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mpode.precision import (
     mul,
     quantize,
     sub,
+    tanh,
 )
 from mpode.precision import _SMALL
 
@@ -371,6 +373,25 @@ class TestRangeMonitor:
         quantize(np.array([1e6, -1e6, 1.0, 2.0**-26]), FLOAT16, mon)
         assert mon.overflows == 2 and mon.underflows == 1
 
+    @SMALL_FORMATS
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_large_arrays_count_like_their_elements(self, fmt, oracle):
+        # Over `_SMALL` elements, `observe` returns after one check when
+        # every rounded value is in [min_normal, max_finite]; raw values just
+        # outside it that round onto a bound count nothing either.
+        tiny, top = fmt.min_normal, fmt.max_finite
+        inside = [tiny, -tiny, top, -top, 1.0, -0.3, float(np.nextafter(tiny, 0.0)),
+                  float(np.nextafter(top, math.inf)), -float(np.nextafter(top, math.inf))]
+        assert len(inside) > _SMALL
+        for extra in [[]] + [[v] for v in _edge_values(fmt) + [tiny / 2, 2 * top, fmt.min_subnormal]]:
+            x = np.array(inside + extra)
+            got, counts = _rounded(x, fmt)
+            want = [0, 0]
+            for v in x.tolist():
+                _count_range(v, oracle(v), fmt, want)
+            assert _same_bits(got, [oracle(v) for v in x.tolist()]), (fmt.name, extra)
+            assert counts == want and (extra or counts == [0, 0]), (fmt.name, extra)
+
 
 def _count_range(raw: float, out: float, fmt, counts: list) -> None:
     """RangeMonitor's rules for one rounding, added to [underflows, overflows]."""
@@ -654,6 +675,98 @@ class TestQuantizeDispatch:
         got, got_counts = _rounded(xs, fmt)
         assert _same_bits(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), fmt.name
         assert got_counts == [sum(c[j] for _, c in floats) for j in (0, 1)], fmt.name
+
+
+# Its split rounder's top is below max_finite: the values between take
+# the generic code.
+E11M20 = FloatFormat("e11m20", 11, 20)
+_FLOAT_OPS = {"add": (add, operator.add), "sub": (sub, operator.sub), "mul": (mul, operator.mul),
+              "dot": (dot, operator.mul)}
+
+
+def _op_values(fmt, rng) -> list[float]:
+    """Edge values of `fmt`, values at the split rounder's top, and random
+    values over the format's whole exponent range."""
+    top = fmt._split[1] if fmt._split else fmt.max_finite
+    near = [top, float(np.nextafter(top, 0.0)), float(np.nextafter(top, math.inf)), 2.0 ** (fmt.bias // 2)]
+    exps = rng.integers(fmt._ulp_floor - 4, fmt.bias + 2, size=24)
+    return _edge_values(fmt) + near + [-v for v in near] + np.ldexp(rng.standard_normal(24), exps).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFloatOps:
+    """`add`, `sub`, `mul` and `dot` of two floats round a float result in
+    their own frame, and `tanh` of a float takes `quantize`'s float path.
+    Each must give what `quantize` gives the same exact result in a
+    one-element array: bits, NaN sign and monitor counts.  Which of two NaN
+    operands an op returns is not defined (CPython's float add and multiply
+    return the other one once the interpreter has specialized the op's
+    bytecode), so then only NaN is checked."""
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
+    def test_ops_match_the_array_path(self, fmt):
+        vals = _op_values(fmt, np.random.default_rng(12))
+        for name, (op, exact) in _FLOAT_OPS.items():
+            for a in vals:
+                for b in vals:
+                    want, counts = _rounded(np.array([exact(a, b)]), fmt)
+                    mon = RangeMonitor()
+                    got = op(a, b, fmt, mon)
+                    assert type(got) is float and type(op(a, b, fmt)) is float, (name, fmt.name, a, b)
+                    assert _same_bits(got, want[0]), (name, fmt.name, a, b)
+                    assert np.signbit(got) == np.signbit(want[0]) or a != a and b != b, (name, fmt.name, a, b)
+                    assert [mon.underflows, mon.overflows] == counts, (name, fmt.name, a, b)
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
+    def test_tanh_matches_the_array_path(self, fmt):
+        vals = _op_values(fmt, np.random.default_rng(13)) + [0.5, -2.0, 20.0, 1e-300]
+        for a in vals:
+            want, counts = _rounded(np.tanh(np.array([a])), fmt)
+            mon = RangeMonitor()
+            got = tanh(a, fmt, mon)
+            assert type(got) is float
+            assert _same_bits(got, want[0]) and np.signbit(got) == np.signbit(want[0]), (fmt.name, a)
+            assert [mon.underflows, mon.overflows] == counts, (fmt.name, a)
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, E11M20], ids=lambda f: f.name)
+    def test_only_values_outside_the_split_range_reach_quantize(self, fmt, monkeypatch):
+        # A float op whose exact result x has min_normal <= |x| <= top calls
+        # neither `quantize` nor the generic code nor the monitor; any other
+        # x takes one call of each (the monitor only when one is attached).
+        # `tanh` always calls `quantize`, which returns before the rest.
+        calls = {"quantize": 0, "generic": 0, "observe": 0}
+        real_quantize, generic, observe = quantize, precision._quantize_scalar, RangeMonitor.observe
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(precision, "quantize", spy("quantize", real_quantize))
+        monkeypatch.setattr(precision, "_quantize_scalar", spy("generic", generic))
+        monkeypatch.setattr(RangeMonitor, "observe", spy("observe", observe))
+        tiny, top = fmt.min_normal, fmt._split[1]
+        half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
+        inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
+                  float(np.nextafter(top, 0.0)), top]
+        outside = [0.0, float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
+                   float(np.nextafter(top, np.inf)), 2 * top, 1e300, math.inf, math.nan]
+        # Operands whose exact result is x, and tanh inputs in and out of range.
+        cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
+                 for x in inside + [-x for x in inside]]
+        cases += [(tanh, (x,)) for x in (4 * tiny, -4 * tiny, 0.5, -2.0, 20.0)]
+        out_cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
+                     for x in outside + [-x for x in outside]]
+        out_cases += [(tanh, (x,)) for x in (0.0, -0.0, tiny / 2, 5e-324, math.nan)]
+        for group, outside_calls in ((cases, 0), (out_cases, 1)):
+            for op, args in group:
+                for monitor in (None, RangeMonitor()):
+                    calls.update(quantize=0, generic=0, observe=0)
+                    op(*args, fmt, monitor)
+                    want = {"quantize": 1 if op is tanh else outside_calls, "generic": outside_calls,
+                            "observe": outside_calls if monitor is not None else 0}
+                    assert calls == want, (op.__name__, fmt.name, args, monitor)
 
 
 class TestRoundedOps:

@@ -31,9 +31,11 @@ retries belong to a single adjoint, so B > 1 raises ValueError.
 A trajectory of one-component states (`states.shape[1:] == (1,)`) sweeps
 on Python floats, as `integrate.forward` does: the stage inputs are the
 stored rows' values as floats, and the adjoint a, the covector and the
-step cotangents are floats.  Array values may mix in (a running cost's
-`grad_y` makes a an array again) and round alike.  `d_x` keeps its `(1,)`
-shape.
+step cotangents, a field's tuple of parameter cotangents included, are
+floats.  The parameter and time-gradient accumulators are lists of floats,
+made arrays on return.  Array values may mix in (a running cost's `grad_y`
+makes a an array again, its `grad_theta` the parameter accumulator) and
+round alike.  `d_x` keeps its `(1,)` shape.
 """
 from __future__ import annotations
 
@@ -246,8 +248,9 @@ def backward(
     one = states.shape[1:] == (1,)
     ys = states[:, 0].tolist() if one else states
     a = quantize(float(a[0]) if one else a, fmt_high)
-    g = np.zeros((*lead, field.dim_params))
-    tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))  # made an array on return
+    # Made arrays on return; a one-component sweep accumulates floats.
+    g = [0.0] * field.dim_params if one else np.zeros((*lead, field.dim_params))
+    tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))
     running = objective.running
     if running is not None:
         ry = quantize(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
@@ -300,7 +303,9 @@ def backward(
             ry = quantize(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
             a = add(a, mul(w[i], ry, fmt_high), fmt_high)
         a = add(a, mul(hs, v.da, fmt_high), fmt_high)
-        if field.dim_params:
+        if type(v.dtheta) is tuple:
+            g = [add(p, mul(hs, q, fmt_high), fmt_high) for p, q in zip(g, v.dtheta)]
+        elif field.dim_params:
             g = add(g, mul(hs, v.dtheta, fmt_high), fmt_high)
         if running is not None and running.grad_theta is not None:
             rth = quantize(np.asarray(running.grad_theta(float(t[i]), states[i], theta_low)), fmt_high)

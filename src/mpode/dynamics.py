@@ -19,8 +19,9 @@ takes one state.
 
 A solve with one state component hands the fields Python floats (see
 `integrate`).  `PolyDecayField` returns the type it gets: a float state
-gives a float value, a float cotangent a float `da`, and `(1,)` arrays give
-`(1,)` arrays.  `LinearField` and `MlpField` turn a float state or
+gives a float value, a float cotangent a float `da` and a tuple of three
+floats as `dtheta`, and `(1,)` arrays give `(1,)` arrays and a `(3,)`
+`dtheta`.  `LinearField` and `MlpField` turn a float state or
 cotangent into a `(1,)` array with `np.atleast_1d` and return arrays.
 """
 from __future__ import annotations
@@ -67,9 +68,15 @@ class Params:
 
 
 class FieldVjp(NamedTuple):
-    da: np.ndarray
-    dt: float
-    dtheta: np.ndarray
+    """Cotangents of one field evaluation wrt its state, time and parameters.
+
+    A field that returns a float `da` may return `dtheta` as a tuple of
+    floats, one per parameter; otherwise both are arrays.
+    """
+
+    da: float | np.ndarray
+    dt: float | np.ndarray
+    dtheta: np.ndarray | tuple[float, ...]
 
 
 Pullback = Callable[..., FieldVjp]
@@ -146,8 +153,9 @@ class PolyDecayField(VelocityField):
             u = mul(c_t2, tq, fmt, monitor)
             u = add(u, u, fmt, monitor)
             dt = add(mul(c_lam, th2, fmt, monitor), u, fmt, monitor)
-            da = np.array([c_y]) if lift_c else c_y
-            return FieldVjp(da, dt, np.array([dth1, dth2, c_lam]))
+            if lift_c:
+                return FieldVjp(np.array([c_y]), dt, np.array([dth1, dth2, c_lam]))
+            return FieldVjp(c_y, dt, (dth1, dth2, c_lam))
 
         return (np.array([f]) if lift else f), pull
 

@@ -27,7 +27,9 @@ inputs as floats, and only the stored `states` rows are arrays.  A rounded
 two round alike, so the results, the monitor counts and the op sequence
 are those of the `(1,)` array.  The path is chosen from the input's shape
 alone, here and in `adjoint.backward`; `final_hp` keeps its `(1,)` shape.
-A field may hand back arrays for float inputs; the two forms mix freely.
+The step tape's pullback then sums floats too, and a field's tuple of
+parameter cotangents one float at a time, in stage order.  A field may
+hand back arrays for float inputs; the two forms mix freely.
 """
 from __future__ import annotations
 
@@ -178,13 +180,16 @@ class NonFiniteState(RuntimeError):
 
 
 def _all_finite(x) -> bool:
-    """Every value is finite; numbers and arrays of at most `_SMALL` elements
-    are checked in plain Python, where `np.isfinite(x).all()` costs ~2 us."""
+    """Every value of a number, an array or a tuple or list of floats is
+    finite; all but arrays of over `_SMALL` elements are checked in plain
+    Python, where `np.isfinite(x).all()` costs ~2 us."""
     if isinstance(x, (float, int)):
         return math.isfinite(x)
-    if x.size <= _SMALL:
-        return all(map(math.isfinite, x.ravel().tolist()))
-    return bool(np.isfinite(x).all())
+    if isinstance(x, np.ndarray):
+        if x.size <= _SMALL:
+            return all(map(math.isfinite, x.ravel().tolist()))
+        return bool(np.isfinite(x).all())
+    return all(map(math.isfinite, x))
 
 
 def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
@@ -286,13 +291,14 @@ class StepVjp(NamedTuple):
 
     For a batch, da is `(B, dim)`, dtheta `(B, n_params)`, and dt and dh
     are `(B,)`, or a float where the value is shared by every row.  da is
-    a float where the field returned one (a one-component state).
+    a float, and dtheta a tuple of floats, where the field returned one (a
+    one-component state).
     """
 
     da: float | np.ndarray
     dt: float | np.ndarray
     dh: float | np.ndarray
-    dtheta: np.ndarray
+    dtheta: np.ndarray | tuple[float, ...]
 
     def finite(self) -> bool:
         """Every value of every row is finite."""
@@ -349,7 +355,9 @@ def build_step_tape(
         for g in gs[1:]:
             da = add(da, g.da, fmt, monitor)
             dt = add(dt, g.dt, fmt, monitor)
-            if field.dim_params:
+            if type(dtheta) is tuple:  # a one-component field's floats
+                dtheta = tuple([add(p, q, fmt, monitor) for p, q in zip(dtheta, g.dtheta)])
+            elif field.dim_params:
                 dtheta = add(dtheta, g.dtheta, fmt, monitor)
         dh = None
         for i, j, coef in tab.dh_terms:

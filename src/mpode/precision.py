@@ -46,6 +46,12 @@ cast where the format has a native dtype.  Other inputs take
 `_quantize_other` under the same rules.  Zeros, subnormals, values beyond
 +-top, infinities and NaN take the generic frexp/ldexp code, which sends a
 value that rounds past float64's largest to inf, as arrays do.
+
+A NaN keeps its sign through `quantize` on every path, so an op with one
+NaN operand returns a NaN of that sign.  An op of two NaNs (`add`, `sub`,
+`mul`, a `dot` of two floats) returns a NaN of unspecified sign: CPython's
+float add and multiply return either operand, depending on whether the
+interpreter has specialized the op's bytecode.
 """
 from __future__ import annotations
 
@@ -173,9 +179,10 @@ class RangeMonitor:
     attached to it stays clean.
 
     A value in [min_normal, max_finite] rounds to one in the same range, so
-    it can be neither event: the float ops never call `observe` for it, and
-    `observe` returns after one range check when every rounded element of a
-    larger array is in it.
+    it can be neither event: the float ops never call `observe` for it, a
+    monitored native-dtype `dot` calls it only when a product or partial
+    sum is outside it, and `observe` returns after one range check when
+    every rounded element of a larger array is in it.
     """
 
     __slots__ = ("underflows", "overflows")
@@ -286,9 +293,11 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     Scalars map to python floats, everything else to float64 ndarrays whose
     elements are representable in `fmt`.  Signed zero is preserved, and a
     NaN keeps the input's sign on every path (so a batch row rounds like
-    the same values alone), though not necessarily its payload.  float64 is
-    a passthrough (the carrier itself); the result may then alias the input,
-    and a monitor sees nothing.  A float that the split rounder takes
+    the same values alone), though not necessarily its payload.  This
+    holds for an op with one NaN operand; an op of two NaNs returns a NaN
+    of unspecified sign (module docstring).  float64 is a passthrough (the
+    carrier itself); the result may then alias the input, and a monitor
+    sees nothing.  A float that the split rounder takes
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
     the normal range.  Only arrays can warn: the float16/float32
     cast and bfloat16 arrays over `_SMALL` elements emit numpy's overflow
@@ -398,9 +407,11 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
 
     The exact float64 products are formed once.  float16 and float32 round
     them with one cast to their native dtype and take the partial sums from
-    one `np.add.accumulate` there, a strict left-to-right recursive sum; a
-    monitor observes those same values and changes none.  In float64
-    rounding is the identity, so the products are accumulated as they are.
+    one `np.add.accumulate` there, a strict left-to-right recursive sum.  A
+    monitor range-checks those same values at once, observes them only if
+    one is outside the normal range (zeros included), and changes none.
+    In float64 rounding is the identity, so the products are accumulated
+    as they are.
     numpy's float16 add rounds the exact sum to float32 and then to float16,
     which equals one rounding because 24 >= 2*11 + 2 (Figueroa, "When is
     double rounding innocuous?", 1995).  `np.sum`, `np.add.reduce` and `@`
@@ -432,17 +443,22 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     native = fmt._native
     if fmt.mantissa_bits >= 52:
         acc = np.add.accumulate(raw, axis=-1)
-    elif native is not None:
-        p = raw.astype(native)
-        acc = np.add.accumulate(p, axis=-1)
-        if monitor is not None:
-            p, acc = p.astype(np.float64), acc.astype(np.float64)
-            monitor.observe(raw, p, fmt)
-            monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
-    else:
+    elif native is None:
         p = quantize(raw, fmt, monitor)
         acc = p[..., 0]
         for j in range(1, p.shape[-1]):
             acc = quantize(acc + p[..., j], fmt, monitor)
         return acc
+    elif monitor is None:
+        acc = np.add.accumulate(raw.astype(native), axis=-1)
+    else:  # products and partial sums in one buffer, range-checked at once
+        both = np.empty((2, *raw.shape), native)
+        both[0] = raw
+        acc = np.add.accumulate(both[0], axis=-1, out=both[1])
+        mag = np.abs(both, dtype=np.float64)  # NaN fails both tests
+        tiny, big = fmt.min_normal, fmt.max_finite
+        if not (mag.min(initial=tiny) >= tiny and mag.max(initial=big) <= big):
+            p, acc = both.astype(np.float64)
+            monitor.observe(raw, p, fmt)
+            monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
     return float(acc[-1]) if acc.ndim == 1 else acc[..., -1].astype(np.float64)

@@ -10,6 +10,7 @@ from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.integrate import (
     NonFiniteState,
     Scheme,
+    StepVjp,
     TimeGrid,
     build_step_tape,
     format_float,
@@ -113,6 +114,17 @@ class TestIncrement:
         assert field.eval_count == 4
 
 
+def same_bits(got, want) -> bool:
+    """Equal bytes, as `tobytes` compares them, except that a NaN matches a
+    NaN of either sign: an op of two NaNs returns a NaN of unspecified sign
+    (`mpode.precision`)."""
+    got, want = np.ravel(np.asarray(got, dtype=np.float64)), np.ravel(np.asarray(want, dtype=np.float64))
+    nan = np.isnan(got)
+    if got.size != want.size or not np.array_equal(nan, np.isnan(want)):
+        return False
+    return got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def tiny_state_problem(name):
     """Field, theta and a state small enough to underflow in narrow formats."""
     if name == "polydecay":
@@ -148,6 +160,33 @@ class TestStepTape:
             want = increment(scheme, field, np.array([y]), 0.3, 0.1, theta_low, fmt, mon_arr)
             assert np.array([dy]).tobytes() == want.tobytes()
             assert (mon_arr.underflows, mon_arr.overflows) == (mon_fwd.underflows, mon_fwd.overflows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32], ids=str)
+    def test_float_pullback_sums_dtheta_as_floats(self, scheme, fmt):
+        # A float cotangent gives float step cotangents and a tuple dtheta
+        # with the bits, the finiteness and the monitor counts of the (1,)
+        # array form; 3e8 overflows float16 into infinities and NaNs.
+        field, theta, y = tiny_state_problem("polydecay-float")
+        theta_low = quantize(theta, fmt)
+        for c in (1.5, 3e4, -2e-3, 3e8):
+            mon, mon_arr = RangeMonitor(), RangeMonitor()
+            got = build_step_tape(scheme, field, y, 0.3, 0.1, theta_low, fmt, mon).pullback(c, mon)
+            tape = build_step_tape(scheme, field, np.array([y]), 0.3, 0.1, theta_low, fmt, mon_arr)
+            want = tape.pullback(np.array([c]), mon_arr)
+            assert type(got.dtheta) is tuple and all(type(d) is float for d in got.dtheta)
+            assert same_bits(got.dtheta, want.dtheta)
+            assert same_bits([got.da, got.dt, got.dh], [want.da[0], want.dt, want.dh])
+            assert got.finite() == want.finite()
+            assert (mon.underflows, mon.overflows) == (mon_arr.underflows, mon_arr.overflows)
+
+    def test_finite_checks_take_tuples_of_floats(self):
+        assert StepVjp(1.0, 0.0, 0.0, (1.0, -2.0, 3.0)).finite()
+        assert integrate._all_finite([]) and integrate._all_finite([0.5, -0.0])
+        for bad in (math.inf, -math.inf, math.nan):
+            assert not StepVjp(1.0, 0.0, 0.0, (1.0, bad, 3.0)).finite()
+            assert not integrate._all_finite([0.5, bad])
 
 
 class TestForward:

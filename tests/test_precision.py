@@ -614,6 +614,29 @@ class TestDotOracle:
         assert type(got) is type(bare) is np.ndarray and got.shape == bare.shape == shape[:2]
         assert got.tobytes() == bare.tobytes(), fmt.name
 
+    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT32], ids=lambda f: f.name)
+    def test_monitor_observes_only_dots_that_leave_the_range(self, fmt, monkeypatch):
+        # A native-dtype dot range-checks its products and partial sums and
+        # calls `observe` (twice: products, then sums) only when one of them
+        # is out of [min_normal, max_finite]; either kind alone is enough.
+        calls = []
+        observe = RangeMonitor.observe
+
+        def spy(self, *args):
+            calls.append(1)
+            return observe(self, *args)
+
+        monkeypatch.setattr(RangeMonitor, "observe", spy)
+        tiny = fmt.min_normal
+        big = fmt.max_finite / 2
+        inside = np.array([[1.0, 2.0, -0.5], [tiny, tiny, 3 * tiny], [big, big, -1.0]])
+        out_product = np.array([tiny / 4, 1.0, 1.0])  # a subnormal product
+        out_sum = np.array([1.0, -1.0, 1.0])  # a zero partial sum
+        for a, want in ((inside, 0), (out_product, 2), (out_sum, 2), (np.ones((0, 3)), 0)):
+            calls.clear()
+            _check_dot(a, np.ones(3), fmt)
+            assert len(calls) == want, (fmt.name, a)
+
 
 def _rounded(x, fmt):
     """`quantize(x, fmt)` and the [underflows, overflows] of a fresh monitor."""
@@ -698,10 +721,9 @@ class TestFloatOps:
     """`add`, `sub`, `mul` and `dot` of two floats round a float result in
     their own frame, and `tanh` of a float takes `quantize`'s float path.
     Each must give what `quantize` gives the same exact result in a
-    one-element array: bits, NaN sign and monitor counts.  Which of two NaN
-    operands an op returns is not defined (CPython's float add and multiply
-    return the other one once the interpreter has specialized the op's
-    bytecode), so then only NaN is checked."""
+    one-element array: bits, NaN sign and monitor counts.  An op of two
+    NaNs returns a NaN of unspecified sign (the `precision` module
+    docstring), so then only NaN is checked."""
 
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
     def test_ops_match_the_array_path(self, fmt):

@@ -32,10 +32,10 @@ A trajectory of one-component states (`states.shape[1:] == (1,)`) sweeps
 on Python floats, as `integrate.forward` does: the stage inputs are the
 stored rows' values as floats, and the adjoint a, the covector and the
 step cotangents, a field's tuple of parameter cotangents included, are
-floats.  The parameter and time-gradient accumulators are lists of floats,
-made arrays on return.  Array values may mix in (a running cost's `grad_y`
-makes a an array again, its `grad_theta` the parameter accumulator) and
-round alike.  `d_x` keeps its `(1,)` shape.
+floats.  The parameter accumulator is a tuple of floats and the time
+gradient a list of floats, both made arrays on return.  Array values may
+mix in (a running cost's `grad_y` makes a an array again, its `grad_theta`
+the parameter accumulator) and round alike.  `d_x` keeps its `(1,)` shape.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .integrate import Scheme, Trajectory, _all_finite, build_step_tape, format_float
+from .integrate import Scheme, Trajectory, _add_dtheta, _all_finite, build_step_tape, format_float
 from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub
 
 __all__ = [
@@ -249,7 +249,7 @@ def backward(
     ys = states[:, 0].tolist() if one else states
     a = quantize(float(a[0]) if one else a, fmt_high)
     # Made arrays on return; a one-component sweep accumulates floats.
-    g = [0.0] * field.dim_params if one else np.zeros((*lead, field.dim_params))
+    g = (0.0,) * field.dim_params if one else np.zeros((*lead, field.dim_params))
     tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))
     running = objective.running
     if running is not None:
@@ -303,10 +303,8 @@ def backward(
             ry = quantize(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
             a = add(a, mul(w[i], ry, fmt_high), fmt_high)
         a = add(a, mul(hs, v.da, fmt_high), fmt_high)
-        if type(v.dtheta) is tuple:
-            g = [add(p, mul(hs, q, fmt_high), fmt_high) for p, q in zip(g, v.dtheta)]
-        elif field.dim_params:
-            g = add(g, mul(hs, v.dtheta, fmt_high), fmt_high)
+        if field.dim_params:
+            g = _add_dtheta(g, v.dtheta, fmt_high, scale=hs)
         if running is not None and running.grad_theta is not None:
             rth = quantize(np.asarray(running.grad_theta(float(t[i]), states[i], theta_low)), fmt_high)
             g = add(g, mul(w[i], rth, fmt_high), fmt_high)

@@ -180,9 +180,9 @@ class NonFiniteState(RuntimeError):
 
 
 def _all_finite(x) -> bool:
-    """Every value of a number, an array or a tuple or list of floats is
-    finite; all but arrays of over `_SMALL` elements are checked in plain
-    Python, where `np.isfinite(x).all()` costs ~2 us."""
+    """Every value of a number, an array or a tuple of floats is finite;
+    all but arrays of over `_SMALL` elements are checked in plain Python,
+    where `np.isfinite(x).all()` costs ~2 us."""
     if isinstance(x, (float, int)):
         return math.isfinite(x)
     if isinstance(x, np.ndarray):
@@ -190,6 +190,16 @@ def _all_finite(x) -> bool:
             return all(map(math.isfinite, x.ravel().tolist()))
         return bool(np.isfinite(x).all())
     return all(map(math.isfinite, x))
+
+
+def _add_dtheta(acc, d, fmt, monitor=None, scale=None):
+    """`acc + d`, or `acc + scale * d`, every op rounded to `fmt`; a tuple
+    `d` (a one-component field's `dtheta`) is summed one float at a time."""
+    if type(d) is tuple:
+        if scale is not None:
+            d = [mul(scale, q, fmt, monitor) for q in d]
+        return tuple([add(p, q, fmt, monitor) for p, q in zip(acc, d)])
+    return add(acc, d if scale is None else mul(scale, d, fmt, monitor), fmt, monitor)
 
 
 def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
@@ -355,10 +365,8 @@ def build_step_tape(
         for g in gs[1:]:
             da = add(da, g.da, fmt, monitor)
             dt = add(dt, g.dt, fmt, monitor)
-            if type(dtheta) is tuple:  # a one-component field's floats
-                dtheta = tuple([add(p, q, fmt, monitor) for p, q in zip(dtheta, g.dtheta)])
-            elif field.dim_params:
-                dtheta = add(dtheta, g.dtheta, fmt, monitor)
+            if field.dim_params:
+                dtheta = _add_dtheta(dtheta, g.dtheta, fmt, monitor)
         dh = None
         for i, j, coef in tab.dh_terms:
             v = gs[i].dt if j is None else dot(ks[j], gs[i].da, fmt, monitor)

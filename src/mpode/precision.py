@@ -455,10 +455,11 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         both = np.empty((2, *raw.shape), native)
         both[0] = raw
         acc = np.add.accumulate(both[0], axis=-1, out=both[1])
-        mag = np.abs(both, dtype=np.float64)  # NaN fails both tests
+        wide = both.astype(np.float64)
+        mag = np.abs(wide)  # NaN fails both tests
         tiny, big = fmt.min_normal, fmt.max_finite
         if not (mag.min(initial=tiny) >= tiny and mag.max(initial=big) <= big):
-            p, acc = both.astype(np.float64)
+            p, acc = wide
             monitor.observe(raw, p, fmt)
             monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
     return float(acc[-1]) if acc.ndim == 1 else acc[..., -1].astype(np.float64)

@@ -570,8 +570,15 @@ class TestOneComponentFloatPath:
         assert traj.states.tobytes() == btraj.states.tobytes()
         assert traj.final_hp.tobytes() == btraj.final_hp.tobytes()
         assert grads.d_theta.shape == (runs[0][0].dim_params,)
-        for name in ("d_x", "d_theta", "d_t"):  # float16 `none` sweeps with a running cost make NaNs
-            assert same_bits(getattr(grads, name), getattr(bgrads, name)), name
+        for name in ("d_x", "d_theta", "d_t"):
+            got, want = getattr(grads, name), getattr(bgrads, name)
+            if field_name == "polydecay":
+                # Its float16 `none` sweeps with a running cost make NaNs,
+                # and both solves add them as floats: an op of two NaNs
+                # returns a NaN of unspecified sign (`mpode.precision`).
+                assert same_bits(got, want), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
         assert (fwd_mon.underflows, fwd_mon.overflows) == (bfwd_mon.underflows, bfwd_mon.overflows)
         assert (bwd_mon.underflows, bwd_mon.overflows) == (bbwd_mon.underflows, bbwd_mon.overflows)
         assert (trace.scales, trace.rescale_counts, trace.doublings) == (

@@ -183,10 +183,10 @@ class TestStepTape:
 
     def test_finite_checks_take_tuples_of_floats(self):
         assert StepVjp(1.0, 0.0, 0.0, (1.0, -2.0, 3.0)).finite()
-        assert integrate._all_finite([]) and integrate._all_finite([0.5, -0.0])
+        assert integrate._all_finite(()) and integrate._all_finite((0.5, -0.0))
         for bad in (math.inf, -math.inf, math.nan):
             assert not StepVjp(1.0, 0.0, 0.0, (1.0, bad, 3.0)).finite()
-            assert not integrate._all_finite([0.5, bad])
+            assert not integrate._all_finite((0.5, bad))
 
 
 class TestForward:

@@ -6,11 +6,12 @@ back through it.  The adjoint, parameter, and time-gradient accumulators
 live in high precision; only the covector handed to the reverse sweep is
 quantized, after multiplication by a per-step power-of-two scale S.
 
-Every policy runs the same attempt loop per step: build the step tape once,
-then pull back quantize(S * a).  Under `none` and `safe` S stays 1.0
-(quantize(1.0 * a) is bit for bit quantize(a)) and the first attempt is
-final; `safe` then returns an all-infinite d_theta if that pullback was
-non-finite, the skip-step signal of loss-scaled training.  Under `dynamic`:
+Every policy runs the same attempt loop per step on the step's tape, built
+once for all policies that sweep together: pull back quantize(S * a).
+Under `none` and `safe` S stays 1.0 (quantize(1.0 * a) is bit for bit
+quantize(a)) and the first attempt is final; `safe` then returns an
+all-infinite d_theta if that pullback was non-finite, the skip-step signal
+of loss-scaled training.  Under `dynamic`:
   * S starts at 2**floor(log2(1 / (u_low * ||a||_inf)));
   * on a non-finite pullback, halve S and retry on the same tape (no field
     re-evaluation), at most k_max attempts and never below s_floor;
@@ -32,10 +33,10 @@ A trajectory of one-component states (`states.shape[1:] == (1,)`) sweeps
 on Python floats, as `integrate.forward` does: the stage inputs are the
 stored rows' values as floats, and the adjoint a, the covector and the
 step cotangents, a field's tuple of parameter cotangents included, are
-floats.  The parameter accumulator is a tuple of floats and the time
-gradient a list of floats, both made arrays on return.  Array values may
-mix in (a running cost's `grad_y` makes a an array again, its `grad_theta`
-the parameter accumulator) and round alike.  `d_x` keeps its `(1,)` shape.
+floats, as are a running cost's partials.  The parameter accumulator is a
+tuple of floats and the time gradient a list of floats, both made arrays
+on return.  Array values may mix in (a field's array `dtheta`) and round
+alike.  `d_x` keeps its `(1,)` shape.
 """
 from __future__ import annotations
 
@@ -206,7 +207,6 @@ def init_scale(a: float | np.ndarray, fmt: FloatFormat) -> float:
     return math.ldexp(1.0, (1 - e) if f == 0.5 else -e)
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def backward(
     scheme: Scheme,
     field: VelocityField,
@@ -224,40 +224,92 @@ def backward(
 
     Batched shapes are in the module docstring; `dynamic` with a batch of
     more than one row raises ValueError before any work.  Exactly
-    n_steps * scheme.stages field evaluations are performed no
-    matter how many rescale attempts happen: retries reuse the step tape.
+    n_steps * scheme.stages field evaluations are performed for any number
+    of policies (`_lockstep`) and rescale attempts: they share the tapes.
     `scale_multiplier` (a power of two) shifts the whole scale sequence and
     exists for bit-exactness instrumentation.  Rescue probes push
     non-finite values through the arithmetic on purpose and blow-ups are
     detected explicitly, so numpy's FP warnings are silenced for the sweep.
     """
+    [out] = _lockstep(
+        scheme, field, traj, params, objective, [policy], fmt_low, fmt_high, monitor, [trace], scale_multiplier
+    )
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _lockstep(
+    scheme, field, traj, params, objective, policies, fmt_low, fmt_high,
+    monitor=None, traces=None, scale_multiplier=1.0,
+) -> list[Gradients | ExhaustedRescale | NonFiniteAccumulator]:
+    """`backward` of each policy, sweeping all of them over one tape per step; a
+    policy's ExhaustedRescale or NonFiniteAccumulator is its outcome, a ValueError raises."""
+    theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
+    t = traj.grid.t
+    ys = traj.states[:, 0].tolist() if traj.states.shape[1:] == (1,) else traj.states
+    sweeps = [
+        _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor, trace, scale_multiplier)
+        for policy, trace in zip(policies, traces or [None] * len(policies))
+    ]
+    outcomes, live, step = [None] * len(sweeps), list(range(len(sweeps))), None
+    # Round i sends step i's tape to every live sweep; round n starts them.
+    for i in range(traj.grid.n_steps, -1, -1):
+        for k in live:
+            try:
+                sweeps[k].send(step)
+            except StopIteration as stop:
+                outcomes[k] = stop.value
+            except (ExhaustedRescale, NonFiniteAccumulator) as exc:
+                outcomes[k] = exc
+        if outcomes.count(None) < len(live):  # a sweep ended
+            live = [k for k in live if outcomes[k] is None]
+            if not live:  # at the latest once step 0 is swept
+                return outcomes
+        h = sub(float(t[i]), float(t[i - 1]), fmt_high)
+        step = h, build_step_tape(scheme, field, ys[i - 1], float(t[i - 1]), h, theta_low, fmt_low, monitor)
+
+
+def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor, trace, scale_multiplier):
+    """One policy's part of `backward`: a generator sent each step's
+    (h, tape), last step first, that returns the Gradients."""
     dynamic = policy.kind is PolicyKind.DYNAMIC
     safe = policy.kind is PolicyKind.UNSCALED_SAFE
     states = traj.states
     lead = states.shape[1:-1]  # (B,) for a batch
     if dynamic and states.ndim == 3 and states.shape[1] > 1:
         raise ValueError(f"the dynamic policy takes one row, got a batch of {states.shape[1]}")
-    theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
     t = traj.grid.t
     n = traj.grid.n_steps
-    w = trapezoid_weights(traj.grid)
+    w = trapezoid_weights(traj.grid).tolist()
 
     a = np.asarray(objective.terminal_grad(states[n]), dtype=np.float64).reshape(states[n].shape)
     # A one-component state sweeps on floats (module docstring): the
-    # stage inputs are the stored rows' values and the adjoint a float.
+    # adjoint, and a running cost's partials, are floats.
     one = states.shape[1:] == (1,)
-    ys = states[:, 0].tolist() if one else states
     a = quantize(float(a[0]) if one else a, fmt_high)
     # Made arrays on return; a one-component sweep accumulates floats.
     g = (0.0,) * field.dim_params if one else np.zeros((*lead, field.dim_params))
     tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))
     running = objective.running
+
+    def cost_partial(fn, i, to_float):
+        """A running cost's partial at node i in fmt_high; one float or a tuple on the float path."""
+        r = quantize(np.asarray(fn(float(t[i]), states[i], theta_low), dtype=np.float64), fmt_high)
+        if not one:
+            return r
+        return r.item() if to_float else tuple(r.tolist())
+
     if running is not None:
-        ry = quantize(np.asarray(running.grad_y(float(t[n]), states[n], theta_low)), fmt_high)
-        a = add(a, mul(w[n], ry, fmt_high), fmt_high)
+        a = add(a, mul(w[n], cost_partial(running.grad_y, n, True), fmt_high), fmt_high)
         if running.grad_theta is not None:
-            rth = quantize(np.asarray(running.grad_theta(float(t[n]), states[n], theta_low)), fmt_high)
-            g = mul(w[n], rth, fmt_high)
+            # The seed replaces the zero accumulator, so a -0.0 keeps its sign.
+            rth = cost_partial(running.grad_theta, n, False)
+            if one:
+                g = tuple([mul(w[n], q, fmt_high) for q in rth])
+            else:
+                g = np.broadcast_to(mul(w[n], rth, fmt_high), g.shape).copy()
 
     if dynamic and not _all_finite(a):
         raise NonFiniteAccumulator(n)
@@ -268,8 +320,7 @@ def backward(
     scale = init_scale(a, fmt_low) * scale_multiplier if dynamic else 1.0
 
     for i in range(n - 1, -1, -1):
-        h = sub(float(t[i + 1]), float(t[i]), fmt_high)
-        tape = build_step_tape(scheme, field, ys[i], float(t[i]), h, theta_low, fmt_low, monitor)
+        h, tape = yield
         # Under none/safe the scale stays 1.0, so the covector is a's own
         # rounding and the first pullback is final.
         for attempts in range(1, policy.k_max + 1):
@@ -300,14 +351,12 @@ def backward(
         tgrad[i] = sub(add(tgrad[i], u, fmt_high), phi_a, fmt_high)
         tgrad[i + 1] = add(add(tgrad[i + 1], mul(hs, v.dh, fmt_high), fmt_high), phi_a, fmt_high)
         if running is not None:
-            ry = quantize(np.asarray(running.grad_y(float(t[i]), states[i], theta_low)), fmt_high)
-            a = add(a, mul(w[i], ry, fmt_high), fmt_high)
+            a = add(a, mul(w[i], cost_partial(running.grad_y, i, True), fmt_high), fmt_high)
         a = add(a, mul(hs, v.da, fmt_high), fmt_high)
         if field.dim_params:
             g = _add_dtheta(g, v.dtheta, fmt_high, scale=hs)
         if running is not None and running.grad_theta is not None:
-            rth = quantize(np.asarray(running.grad_theta(float(t[i]), states[i], theta_low)), fmt_high)
-            g = add(g, mul(w[i], rth, fmt_high), fmt_high)
+            g = _add_dtheta(g, cost_partial(running.grad_theta, i, False), fmt_high, scale=w[i])
 
         if dynamic:
             if not all(map(_all_finite, (a, g, tgrad[i], tgrad[i + 1]))):

@@ -20,6 +20,7 @@ from .adjoint import (
     NonFiniteAccumulator,
     Objective,
     ScalingPolicy,
+    _lockstep,
     backward,
     sgd_step,
 )
@@ -322,21 +323,6 @@ def build_field(config: ExperimentConfig) -> tuple[VelocityField, Params | None,
     return field, params, x
 
 
-def _gradients(scheme, field, traj, params, policy, fmt_low) -> tuple[Gradients | None, str]:
-    """Backward over `traj` under `policy`; a failure or non-finite result becomes a status."""
-    try:
-        grads = backward(
-            scheme, field, traj, params, _terminal_objective(), policy, fmt_low, _high_format(fmt_low)
-        )
-    except ExhaustedRescale as exc:
-        return None, f"exhausted-rescale-at-{exc.step}"
-    except NonFiniteAccumulator as exc:
-        return None, f"non-finite-accumulator-at-{exc.step}"
-    if not (np.isfinite(grads.d_x).all() and np.isfinite(grads.d_theta).all()):
-        return grads, "non-finite-gradient"
-    return grads, "ok"
-
-
 def _solve(
     scheme: Scheme,
     field: VelocityField,
@@ -346,10 +332,12 @@ def _solve(
     fmt_low: FloatFormat,
     policies: list[ScalingPolicy],
 ) -> list[tuple[Trajectory, Gradients | None, str]]:
-    """One forward, then one backward per policy; each outcome gets a status.
+    """One forward, then one reverse sweep for all policies; each outcome gets a status.
 
     The forward does not depend on the policy, and backward leaves the
     trajectory as it found it, so every policy pulls back the same one.
+    The policies sweep it in lockstep (`adjoint._lockstep`), sharing each
+    step's tape, at the field evaluations of one backward.
     Returns one (trajectory, gradients, status) per policy, holding what
     was computed: after `non-finite-state-at-<i>` (every policy) the
     trajectory ends at the first non-finite state and there are no
@@ -361,7 +349,17 @@ def _solve(
         traj = forward(scheme, field, x, grid, params, fmt_low, _high_format(fmt_low))
     except NonFiniteState as exc:
         return [(exc.trajectory, None, f"non-finite-state-at-{exc.step}")] * len(policies)
-    return [(traj, *_gradients(scheme, field, traj, params, p, fmt_low)) for p in policies]
+    outcomes = []
+    for out in _lockstep(
+        scheme, field, traj, params, _terminal_objective(), policies, fmt_low, _high_format(fmt_low)
+    ):
+        if isinstance(out, Exception):
+            kind = "exhausted-rescale" if isinstance(out, ExhaustedRescale) else "non-finite-accumulator"
+            outcomes.append((traj, None, f"{kind}-at-{out.step}"))
+        else:
+            finite = np.isfinite(out.d_x).all() and np.isfinite(out.d_theta).all()
+            outcomes.append((traj, out, "ok" if finite else "non-finite-gradient"))
+    return outcomes
 
 
 def _error_row(fmt: str, policy: str, n: int, outcome: tuple, refs: tuple) -> ErrorRow:
@@ -391,8 +389,10 @@ def _error_row(fmt: str, policy: str, n: int, outcome: tuple, refs: tuple) -> Er
 def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     """Relative errors of the decay benchmark across formats and policies.
 
-    Rows are ordered (float32, float16, bfloat16) x (none, dynamic). A failed
-    backward yields infinite gradient-error entries and a non-ok status.
+    Rows are ordered (float32, float16, bfloat16) x (none, dynamic). Each
+    format runs one forward and one reverse sweep for both policies
+    (`_solve`). A failed backward yields infinite gradient-error entries
+    and a non-ok status.
     """
     field, params, x, t_final = decay_benchmark()
     n, scheme = config.resolve("n"), config.resolve("scheme")

@@ -428,6 +428,31 @@ class TestBatch:
         if fmt is FLOAT16 and batch > 1:
             assert counts[0] > 0  # the count comparison saw range events
 
+    @pytest.mark.parametrize("field_name", ["linear", "mlp"])
+    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT64], ids=str)
+    def test_grad_theta_running_cost_keeps_the_batch_axis(self, field_name, fmt):
+        # `grad_theta` returns the shared parameters' shape, (n_params,);
+        # d_theta is still (B, n_params), an empty one for a LinearField.
+        field, params, xs = batch_problem(field_name, 3)
+        grid = TimeGrid.uniform(1.0, 6)
+        objective = terminal_objective()
+        objective.running = RunningCost(
+            value=lambda t, y, th: 0.5 * float(np.sum(y * y) + np.dot(th, th)),
+            grad_y=lambda t, y, th: np.asarray(y, dtype=np.float64),
+            grad_theta=lambda t, y, th: np.asarray(th, dtype=np.float64),
+        )
+        args = (objective, ScalingPolicy.unscaled(), fmt, high_format(fmt))
+        traj = forward(Scheme.RK4, field, xs, grid, params, fmt, high_format(fmt))
+        grads = backward(Scheme.RK4, field, traj, params, *args)
+        assert grads.d_theta.shape == (3, field.dim_params)
+        for r, x in enumerate(xs):
+            alone = forward(Scheme.RK4, field, x, grid, params, fmt, high_format(fmt))
+            want = backward(Scheme.RK4, field, alone, params, *args)
+            assert want.d_theta.shape == (field.dim_params,)
+            assert grads.d_x[r].tobytes() == want.d_x.tobytes()
+            assert grads.d_theta[r].tobytes() == want.d_theta.tobytes()
+            assert grads.d_t[:, r].tobytes() == want.d_t.tobytes()
+
     def test_batch_of_one_under_dynamic(self):
         field, params, xs = batch_problem("mlp", 1)
         grid = TimeGrid.uniform(1.0, 6)
@@ -537,6 +562,19 @@ def state_types(field):
     return seen
 
 
+def add_operand_types(monkeypatch):
+    """Record the operand types of every rounded `add` the solve modules make."""
+    seen = []
+
+    def spy(a, b, *args):
+        seen.append((type(a), type(b)))
+        return precision.add(a, b, *args)
+
+    for module in (dynamics, integrate, adjoint):
+        monkeypatch.setattr(module, "add", spy)
+    return seen
+
+
 RUNNING_COSTS = {"terminal": lambda: None, "running": quadratic_running, "grad_theta": theta_running}
 
 
@@ -550,18 +588,24 @@ class TestOneComponentFloatPath:
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32], ids=str)
     @pytest.mark.parametrize("policy", ["none", "safe", "dynamic"])
     @pytest.mark.parametrize("running", list(RUNNING_COSTS))
-    def test_float_path_matches_batch_of_one(self, scheme, field_name, fmt, policy, running):
+    def test_float_path_matches_batch_of_one(self, monkeypatch, scheme, field_name, fmt, policy, running):
         runs, grid, factor = one_component_runs(field_name)
         objective = terminal_objective(factor)
         objective.running = RUNNING_COSTS[running]()
         args = (objective, ScalingPolicy.from_name(policy), fmt, FLOAT32)
+        adds = add_operand_types(monkeypatch)
         results = []
-        for field, params, x in runs:
+        for k, (field, params, x) in enumerate(runs):
             seen = state_types(field)
             fwd_mon, bwd_mon, trace = RangeMonitor(), RangeMonitor(), BackwardTrace()
             traj = forward(scheme, field, x, grid, params, fmt, FLOAT32, fwd_mon)
             forward_seen = seen[:]
+            adds.clear()
             grads = backward(scheme, field, traj, params, *args, bwd_mon, trace)
+            if field_name == "polydecay" and k == 0:
+                # Every value of its sweep, a running cost's partials
+                # included, is a float: no add gets an array.
+                assert adds and not any(np.ndarray in pair for pair in adds), running
             assert seen[0] is seen[len(forward_seen)] is (float if x.ndim == 1 else np.ndarray)
             assert grads.d_x.shape == x.shape and traj.final_hp.shape == x.shape
             assert grads.d_theta.dtype == np.float64
@@ -588,6 +632,74 @@ class TestOneComponentFloatPath:
             assert fwd_mon.underflows > 0  # the count comparisons saw range events
             if field_name == "polydecay" and policy == "dynamic":
                 assert trace.total_rescales > 0 and bwd_mon.overflows > 0
+
+
+class TestLockstep:
+    """Several policies' reverse sweeps over one step tape per step: each
+    outcome is that policy's own `backward`, bit for bit, and the whole
+    sweep evaluates the field as often as one `backward` does."""
+
+    def check(self, scheme, field, traj, params, objective, policies, fmt, high=FLOAT32):
+        traces = [BackwardTrace() for _ in policies]
+        evals = field.eval_count
+        outcomes = adjoint._lockstep(
+            scheme, field, traj, params, objective, policies, fmt, high, traces=traces
+        )
+        assert field.eval_count - evals == traj.grid.n_steps * scheme.stages
+        for policy, trace, got in zip(policies, traces, outcomes):
+            alone = BackwardTrace()
+            try:
+                want = backward(scheme, field, traj, params, objective, policy, fmt, high, trace=alone)
+            except (ExhaustedRescale, NonFiniteAccumulator) as exc:
+                want = exc
+            if isinstance(want, Exception):
+                assert (type(got), got.step) == (type(want), want.step)
+            else:
+                for name in ("d_x", "d_theta", "d_t"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert (trace.scales, trace.rescale_counts, trace.doublings) == (
+                alone.scales, alone.rescale_counts, alone.doublings
+            )
+        return outcomes, traces
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16], ids=str)
+    def test_decay_benchmark_policies(self, fmt):
+        field, params, x, t_final = decay_benchmark()
+        traj = forward(Scheme.RK4, field, x, TimeGrid.uniform(t_final, 150), params, fmt, FLOAT32)
+        policies = [ScalingPolicy.from_name(p) for p in ("none", "safe", "dynamic")]
+        policies.append(ScalingPolicy.dynamic(k_max=1))  # cannot rescue, so it drops out
+        outcomes, traces = self.check(Scheme.RK4, field, traj, params, terminal_objective(), policies, fmt)
+        assert traces[2].total_rescales > 0
+        assert isinstance(outcomes[3], ExhaustedRescale)
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, FLOAT64], ids=str)
+    def test_batched_mlp(self, fmt):
+        field, params, xs = batch_problem("mlp", 3)
+        traj = forward(Scheme.RK4, field, xs, TimeGrid.uniform(1.0, 6), params, fmt, high_format(fmt))
+        policies = [ScalingPolicy.unscaled(), ScalingPolicy.unscaled_safe()]
+        self.check(Scheme.RK4, field, traj, params, terminal_objective(), policies, fmt, high_format(fmt))
+
+    def test_safe_returns_early_and_the_others_go_on(self):
+        # As in TestOverflowHandling: the terminal covector overflows float16.
+        field, params, x, grid = mild_problem(n=16)
+        traj = forward(Scheme.RK4, field, x, grid, params, FLOAT16, FLOAT32)
+        policies = [ScalingPolicy.from_name(p) for p in ("safe", "none", "dynamic")]
+        outcomes, _ = self.check(
+            Scheme.RK4, field, traj, params, terminal_objective(300000.0), policies, FLOAT16
+        )
+        assert np.isinf(outcomes[0].d_theta).all()
+        assert np.isfinite(outcomes[2].d_x).all() and np.isfinite(outcomes[2].d_theta).all()
+
+    def test_value_error_before_any_work(self):
+        field, params, xs = batch_problem("mlp", 3)
+        traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 4), params, FLOAT16, FLOAT32)
+        evals = field.eval_count
+        with pytest.raises(ValueError, match="batch of 3"):
+            adjoint._lockstep(
+                Scheme.EULER, field, traj, params, terminal_objective(),
+                [ScalingPolicy.unscaled(), ScalingPolicy.dynamic()], FLOAT16, FLOAT32,
+            )
+        assert field.eval_count == evals
 
 
 class TestRoundingCallCount:

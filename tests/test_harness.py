@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpode import runners
+from mpode import adjoint, runners
 from mpode.adjoint import (
     ExhaustedRescale,
     NonFiniteAccumulator,
@@ -22,7 +22,7 @@ from mpode.adjoint import (
 from mpode.cli import main
 from mpode.dynamics import MlpField, Params, PolyDecayField
 from mpode.integrate import NonFiniteState, Scheme, TimeGrid, forward
-from mpode.precision import FLOAT32, FLOAT64, get_format
+from mpode.precision import FLOAT16, FLOAT32, FLOAT64, get_format
 from mpode.oracles import analytic_gradient, analytic_solution, fd_gradient
 from mpode.runners import (
     ErrorRow,
@@ -48,6 +48,24 @@ def terminal_objective():
         terminal=lambda y: 0.5 * float(np.dot(y, y)),
         terminal_grad=lambda y: np.asarray(y, dtype=np.float64),
     )
+
+
+def fail_sweeps(monkeypatch, exc, fails):
+    """Make each policy sweep that `fails(policy, fmt_low)` picks raise `exc`
+    at step `exc.step` of the shared reverse sweep, after the steps before it."""
+    real = adjoint._sweep
+
+    def sweep(field, traj, theta_low, objective, policy, fmt_low, *rest):
+        inner = real(field, traj, theta_low, objective, policy, fmt_low, *rest)
+        if not fails(policy, fmt_low):
+            return (yield from inner)
+        next(inner)
+        for _ in range(traj.grid.n_steps - 1 - exc.step):
+            inner.send((yield))
+        yield
+        raise exc
+
+    monkeypatch.setattr(adjoint, "_sweep", sweep)
 
 
 class TestAnalyticOracles:
@@ -240,8 +258,9 @@ class TestRunTable:
 
 
 class TestSharedForward:
-    """run_table runs one forward per format and pulls both policies back
-    through it; a failure still lands on the rows it belongs to."""
+    """run_table runs one forward per format and one reverse sweep that
+    pulls both policies back through it over shared step tapes; a failure
+    still lands on the rows it belongs to."""
 
     N = 40
 
@@ -303,14 +322,10 @@ class TestSharedForward:
          (NonFiniteAccumulator(2), "non-finite-accumulator-at-2")],
     )
     def test_backward_failure_fails_one_policy(self, monkeypatch, plain_rows, exc, status):
-        real = runners.backward
-
-        def failing(scheme, field, traj, params, objective, policy, fmt_low, fmt_high):
-            if fmt_low.name == "float16" and policy.kind.value == "dynamic":
-                raise exc
-            return real(scheme, field, traj, params, objective, policy, fmt_low, fmt_high)
-
-        monkeypatch.setattr(runners, "backward", failing)
+        fail_sweeps(
+            monkeypatch, exc,
+            lambda policy, fmt_low: fmt_low.name == "float16" and policy.kind.value == "dynamic",
+        )
         rows = run_table(ExperimentConfig(n=self.N, scheme="rk4"))
         for row, plain in zip(rows, plain_rows):
             if (row.fmt, row.policy) == ("float16", "dynamic"):
@@ -319,6 +334,19 @@ class TestSharedForward:
                 assert all(math.isinf(e) for e in errors)
             else:
                 assert row.to_csv_line() == plain.to_csv_line()
+
+    def test_exhausted_rescale_fails_only_its_policy(self):
+        # Unmocked: one attempt per step cannot rescue the float16 decay
+        # benchmark, while `none` sweeps on over the same step tapes.
+        field, params, x, t_final = decay_benchmark()
+        grid = TimeGrid.uniform(t_final, self.N)
+        policies = [ScalingPolicy.unscaled(), ScalingPolicy.dynamic(k_max=1)]
+        (traj, grads, status), failed = runners._solve(Scheme.RK4, field, params, x, grid, FLOAT16, policies)
+        assert failed[0] is traj and failed[1:] == (None, "exhausted-rescale-at-36")
+        assert status == "ok"
+        want = backward(Scheme.RK4, field, traj, params, terminal_objective(), policies[0], FLOAT16, FLOAT32)
+        for name in ("d_x", "d_theta", "d_t"):
+            assert getattr(grads, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestRunSweep:
@@ -512,10 +540,7 @@ class TestRunSolve:
          (NonFiniteAccumulator(2), "non-finite-accumulator-at-2")],
     )
     def test_backward_failure_keeps_trajectory(self, tmp_path, monkeypatch, exc, status):
-        def failing_backward(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(runners, "backward", failing_backward)
+        fail_sweeps(monkeypatch, exc, lambda policy, fmt_low: True)
         config = ExperimentConfig(
             theta=[0.4, -1.1, 0.9], x0=[1.0], t_final=2.0, n=8, fmt="float16",
             out=str(tmp_path / "run"),

@@ -256,14 +256,15 @@ def _lockstep(
     outcomes, live, step = [None] * len(sweeps), list(range(len(sweeps))), None
     # Round i sends step i's tape to every live sweep; round n starts them.
     for i in range(traj.grid.n_steps, -1, -1):
+        ended = False
         for k in live:
             try:
                 sweeps[k].send(step)
             except StopIteration as stop:
-                outcomes[k] = stop.value
+                outcomes[k], ended = stop.value, True
             except (ExhaustedRescale, NonFiniteAccumulator) as exc:
-                outcomes[k] = exc
-        if outcomes.count(None) < len(live):  # a sweep ended
+                outcomes[k], ended = exc, True
+        if ended:
             live = [k for k in live if outcomes[k] is None]
             if not live:  # at the latest once step 0 is swept
                 return outcomes

@@ -132,7 +132,7 @@ class PolyDecayField(VelocityField):
         lift = not isinstance(y, float)  # a (1,) array in, (1,) arrays out
         if lift and y.ndim != 1:
             raise ValueError("PolyDecayField takes one state, not a batch")
-        th1, th2, th3 = map(float, theta)
+        th1, th2, th3 = np.asarray(theta, dtype=np.float64).tolist()
         y0 = float(y[0]) if lift else y
         tq = quantize(float(t), fmt, monitor)
         t2 = mul(tq, tq, fmt, monitor)

@@ -27,25 +27,28 @@ inputs of up to `_SMALL` elements are range-checked, and rounded where the
 format has no native dtype, one element at a time in plain Python.
 
 `quantize` rounds the two common inputs in its own frame, from constants
-cached per format (`FloatFormat._split`, `_native`), and nothing it calls
-calls it back.  A float with min_normal <= |x| <= top (top is max_finite
-unless x * splitter could overflow) is rounded by Veltkamp splitting
-(Dekker, 1971; Boldo, "Pitfalls of a full floating-point proof", 2006):
+each format holds as plain attributes (`FloatFormat._split`, `_native`),
+and nothing it calls calls it back.  A float with min_normal <= |x| <= top
+(top is max_finite unless x * splitter could overflow) is rounded by
+Veltkamp splitting (Dekker, 1971; Boldo, "Pitfalls of a full
+floating-point proof", 2006):
 with g = splitter * x, splitter = 2**(52 - mantissa_bits) + 1, the float64
 sum g + (x - g) is x rounded to nearest even on mantissa_bits + 1 bits.
 Rounding is monotone and min_normal and max_finite are representable, so
 such a value stays in the normal range, has no range event, and returns at
-once: a monitor is consulted only for the rest.  `add`, `sub`, `mul` and a
-`dot` of two floats round a float result in that range in their own frame
-with the same three operations and call `quantize` for anything else, so a
-rounded float op is one Python call, monitored or not.  A `dot` of two or
-more terms in float16, float32 or float64 rounds (or, in float64, keeps)
+once: a monitor is consulted only for the rest.  A float zero rounds to
+itself, keeps its sign and is no range event, so it returns right after
+that test.  `add`, `sub`, `mul` and a `dot` of two floats round a float
+result in that range, or return a zero, in their own frame with the same
+operations and call `quantize` for anything else, so a rounded float op
+is one Python call, monitored or not.  A `dot` of two or more terms in
+float16, float32 or float64 rounds (or, in float64, keeps)
 its products and partial sums in its own frame with no `quantize` call;
 bfloat16 and one-term `dot`s call it.  A float64 array takes the numpy
 cast where the format has a native dtype.  Other inputs take
-`_quantize_other` under the same rules.  Zeros, subnormals, values beyond
-+-top, infinities and NaN take the generic frexp/ldexp code, which sends a
-value that rounds past float64's largest to inf, as arrays do.
+`_quantize_other` under the same rules.  Other zeros, subnormals, values
+beyond +-top, infinities and NaN take the generic frexp/ldexp code, which
+sends a value that rounds past float64's largest to inf, as arrays do.
 
 A NaN keeps its sign through `quantize` on every path, so an op with one
 NaN operand returns a NaN of that sign.  An op of two NaNs (`add`, `sub`,
@@ -58,7 +61,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,63 +84,50 @@ __all__ = [
 ]
 
 
+# Formats with a native numpy dtype round through a hardware/C cast, which
+# is IEEE round-to-nearest-even with gradual underflow and overflow to inf,
+# i.e. exactly the rounding contract.  Exhaustive tests pin the equivalence.
+_NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
+_FLOAT64 = np.dtype(np.float64)
+
+
 @dataclass(frozen=True)
 class FloatFormat:
-    """Bit layout of a binary floating-point format (sign bit implied)."""
+    """Bit layout of a binary floating-point format (sign bit implied).
+
+    The derived constants are plain attributes, set once at construction:
+    `bias`, `min_exp` (the smallest normal exponent, unbiased),
+    `unit_roundoff`, `max_finite`, `min_normal` and `min_subnormal`.  They
+    are not fields, so equality and hashing see only the three fields.
+    """
 
     name: str
     exponent_bits: int
     mantissa_bits: int
 
     def __post_init__(self) -> None:
-        if self.exponent_bits < 2 or self.mantissa_bits < 1:
+        e, m = self.exponent_bits, self.mantissa_bits
+        if e < 2 or m < 1:
             raise ValueError(f"degenerate format: {self}")
-
-    # Derived constants are computed once per format, as quantize reads them
-    # on every call; cached_property works on the frozen dataclass.
-    @cached_property
-    def bias(self) -> int:
-        return 2 ** (self.exponent_bits - 1) - 1
-
-    @cached_property
-    def min_exp(self) -> int:
-        """Smallest normal exponent (unbiased)."""
-        return 1 - self.bias
-
-    @cached_property
-    def unit_roundoff(self) -> float:
-        return 2.0 ** -(self.mantissa_bits + 1)
-
-    @cached_property
-    def max_finite(self) -> float:
-        return (2.0 - 2.0 ** -self.mantissa_bits) * 2.0 ** self.bias
-
-    @cached_property
-    def min_normal(self) -> float:
-        return 2.0 ** self.min_exp
-
-    @cached_property
-    def min_subnormal(self) -> float:
-        return 2.0 ** (self.min_exp - self.mantissa_bits)
-
-    @cached_property
-    def _ulp_floor(self) -> int:
-        """Exponent of the subnormal spacing, the coarsest allowed ulp floor."""
-        return self.min_exp - self.mantissa_bits
-
-    @cached_property
-    def _native(self):
-        """The numpy dtype whose cast rounds exactly like this format, or None."""
-        return _NATIVE_DTYPES.get((self.exponent_bits, self.mantissa_bits))
-
-    @cached_property
-    def _split(self):
-        """Veltkamp rounder constants (min_normal, top, splitter), None in
-        float64; it takes min_normal <= |x| <= top, keeping x * splitter finite."""
-        if self.mantissa_bits >= 52:
-            return None
-        split = 2.0 ** (52 - self.mantissa_bits) + 1.0
-        return self.min_normal, min(self.max_finite, sys.float_info.max / split), split
+        if e > 11 or m > 52:
+            raise ValueError(f"format {self} does not fit the float64 carrier "
+                             "(at most 11 exponent and 52 mantissa bits)")
+        bias = 2 ** (e - 1) - 1
+        min_exp = 1 - bias
+        min_normal, max_finite = 2.0 ** min_exp, (2.0 - 2.0 ** -m) * 2.0 ** bias
+        # Veltkamp rounder constants (min_normal, top, splitter), None in
+        # float64; it takes min_normal <= |x| <= top, keeping x * splitter finite.
+        splitter = 2.0 ** (52 - m) + 1.0
+        split = (min_normal, min(max_finite, sys.float_info.max / splitter), splitter) if m < 52 else None
+        constants = dict(
+            bias=bias, min_exp=min_exp, unit_roundoff=2.0 ** -(m + 1), max_finite=max_finite,
+            min_normal=min_normal, min_subnormal=2.0 ** (min_exp - m),
+            _ulp_floor=min_exp - m,  # exponent of the subnormal spacing
+            _native=_NATIVE_DTYPES.get((e, m)),  # the numpy dtype whose cast rounds alike, or None
+            _split=split,
+        )
+        for attr, value in constants.items():
+            object.__setattr__(self, attr, value)  # the dataclass is frozen
 
     def __str__(self) -> str:
         return self.name
@@ -178,10 +167,12 @@ class RangeMonitor:
     Power-of-two rescaling of a computation is bit-exact only while a monitor
     attached to it stays clean.
 
-    A value in [min_normal, max_finite] rounds to one in the same range, so
-    it can be neither event: the float ops never call `observe` for it, a
-    monitored native-dtype `dot` calls it only when a product or partial
-    sum is outside it, and `observe` returns after one range check when
+    A value in [min_normal, max_finite] rounds to one in the same range, and
+    a zero rounds to itself, so neither can be an event: `quantize` and the
+    float ops never call `observe` for a float of either kind (only a
+    nonzero float outside the range reaches it), a monitored native-dtype
+    `dot` calls it only when a product or partial sum is outside the range
+    (zeros included), and `observe` returns after one range check when
     every rounded element of a larger array is in it.
     """
 
@@ -227,13 +218,6 @@ class RangeMonitor:
                     self.overflows += 1
             elif mag < tiny and (mag > 0.0 or (r != 0.0 and math.isfinite(r))):
                 self.underflows += 1
-
-
-# Formats with a native numpy dtype round through a hardware/C cast, which
-# is IEEE round-to-nearest-even with gradual underflow and overflow to inf,
-# i.e. exactly the rounding contract.  Exhaustive tests pin the equivalence.
-_NATIVE_DTYPES = {(5, 10): np.float16, (8, 23): np.float32}
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
@@ -299,7 +283,8 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     carrier itself); the result may then alias the input, and a monitor
     sees nothing.  A float that the split rounder takes
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
-    the normal range.  Only arrays can warn: the float16/float32
+    the normal range.  So does a float zero, which rounds to itself: only
+    a nonzero float outside the range reaches the monitor.  Only arrays can warn: the float16/float32
     cast and bfloat16 arrays over `_SMALL` elements emit numpy's overflow
     `RuntimeWarning`, which solves silence and direct callers see.
     """
@@ -311,6 +296,8 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         if tiny <= abs(x) <= top:  # stays in the normal range: nothing to observe
             g = splitter * x
             return g + (x - g)
+        if x == 0.0:  # rounds to itself, sign kept, and is no range event
+            return x
         out = _quantize_scalar(x, fmt)
     elif type(x) is np.ndarray and x.dtype is _FLOAT64 and fmt._native is not None:
         out = x.astype(fmt._native).astype(np.float64)
@@ -338,6 +325,8 @@ def add(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         if tiny <= abs(x) <= top:
             g = splitter * x
             return g + (x - g)
+        if x == 0.0:
+            return x
     return quantize(x, fmt, monitor)
 
 
@@ -351,6 +340,8 @@ def sub(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         if tiny <= abs(x) <= top:
             g = splitter * x
             return g + (x - g)
+        if x == 0.0:
+            return x
     return quantize(x, fmt, monitor)
 
 
@@ -364,6 +355,8 @@ def mul(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         if tiny <= abs(x) <= top:
             g = splitter * x
             return g + (x - g)
+        if x == 0.0:
+            return x
     return quantize(x, fmt, monitor)
 
 
@@ -433,6 +426,8 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
             if tiny <= abs(x) <= top:
                 g = splitter * x
                 return g + (x - g)
+            if x == 0.0:
+                return x
         return quantize(x, fmt, monitor)
     raw = np.multiply(a, b, dtype=np.float64)  # casts only what is not float64
     if raw.ndim == 0:  # two 0-d inputs multiply to a numpy scalar

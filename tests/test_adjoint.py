@@ -714,8 +714,10 @@ class TestRoundingCallCount:
         # recomputation: its t = 0 column gives zero products.
         # A per-column rounding loop in dot would add a call per input
         # column of every layer.  Float ops round in their own frame and
-        # call quantize only for a value outside the normal range: the step
-        # size h and the backward's scalar time-gradient terms make none.
+        # call quantize only for a nonzero value outside the normal range:
+        # the step size h and the backward's scalar time-gradient terms make
+        # none (an exact zero such as h * dh returns in the op's frame), and
+        # quantize of the zero time t = 0 returns before the monitor.
         calls, observed = [], []
         real, real_observe = precision.quantize, RangeMonitor.observe
 
@@ -737,24 +739,24 @@ class TestRoundingCallCount:
         traj = forward(
             Scheme.EULER, field, np.array([0.5, -0.25]), grid, params, FLOAT16, FLOAT32, monitor=monitor
         )
-        assert (len(calls), len(observed)) == ((13, 8) if monitored else (13, 0))
+        assert (len(calls), len(observed)) == ((13, 7) if monitored else (13, 0))
         backward(
             Scheme.EULER, field, traj, params, terminal_objective(),
             ScalingPolicy.unscaled(), FLOAT16, FLOAT32, monitor=monitor,
         )
-        assert (len(calls), len(observed)) == ((39, 26) if monitored else (39, 0))
+        assert (len(calls), len(observed)) == ((38, 24) if monitored else (38, 0))
 
 
     def test_polydecay_rk4_step_observes_only_roundings_out_of_range(self, monkeypatch):
         # A one-component step runs on floats, the pullback's parameter
         # cotangents included, so no monitored op gets an array: a rounded
-        # float whose exact value is in [min_normal, max_finite] never
-        # reaches the monitor, and every other one reaches it once.  Each
-        # monitored op that the modules call is wrapped to redo its exact
-        # value.
+        # float whose exact value is in [min_normal, max_finite] or is zero
+        # never reaches the monitor, and every other one reaches it once.
+        # Each monitored op that the modules call is wrapped to redo its
+        # exact value.
         exact = {"quantize": (1, lambda x: x), "add": (2, operator.add), "sub": (2, operator.sub),
                  "mul": (2, operator.mul), "dot": (2, operator.mul)}
-        tally = {"inside": 0, "outside": 0, "arrays": 0}
+        tally = {"inside": 0, "zero": 0, "outside": 0, "arrays": 0}
         observed = []
         real_observe = RangeMonitor.observe
 
@@ -771,6 +773,8 @@ class TestRoundingCallCount:
                     x = value(*args[:arity])
                     if type(x) is not float:
                         tally["arrays"] += 1
+                    elif x == 0.0:
+                        tally["zero"] += 1
                     else:
                         tally["inside" if fmt.min_normal <= abs(x) <= fmt.max_finite else "outside"] += 1
                 return fn(*args)
@@ -788,7 +792,7 @@ class TestRoundingCallCount:
             Scheme.RK4, field, traj, params, terminal_objective(),
             ScalingPolicy.dynamic(), FLOAT16, FLOAT32, monitor=monitor,
         )
-        assert tally["inside"] > tally["outside"] > 0 and tally["arrays"] == 0, tally
+        assert tally["inside"] > tally["outside"] > 0 and tally["zero"] > 0 and tally["arrays"] == 0, tally
         assert len(observed) == tally["outside"], tally
 
 

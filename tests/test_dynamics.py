@@ -82,6 +82,17 @@ class TestPolyDecay:
         out = field.vjp(0.5, np.array([2.0]), np.array([1.0, 2.0, 3.0]), np.zeros(1), FLOAT16)
         assert out.da[0] == 0.0 and out.dt == 0.0 and not out.dtheta.any()
 
+    def test_parameter_forms_give_the_same_bits(self):
+        # theta is read with one conversion to float64, whatever its form.
+        field = PolyDecayField()
+        theta = quantize(np.array([0.4, -1.1, 0.9]), FLOAT16).tolist()  # float32 holds these exactly
+        results = set()
+        for form in (theta, tuple(theta), np.array(theta), np.array(theta, dtype=np.float32)):
+            f, pull = field.linearize(0.8, 0.7, form, FLOAT16)
+            out = pull(-1.25)
+            results.add(tuple(float.hex(v) for v in (f, out.da, out.dt, *out.dtheta)))
+        assert len(results) == 1, results
+
     def test_power_of_two_cotangent_scaling_is_exact(self):
         # scaling the cotangent by 2^k scales every vjp output by exactly
         # 2^k while no rounding leaves the normal range

@@ -1,7 +1,9 @@
 """Rounding-layer tests: exactness against an independent oracle."""
 
+import dataclasses
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ from mpode.precision import (
 from mpode.precision import _SMALL
 
 from _oracles import round_bfloat16, round_float16, round_float32, round_to_format
+
+# Its split rounder's top is below max_finite: the values between take
+# the generic code.
+E11M20 = FloatFormat("e11m20", 11, 20)
 
 
 def all_float16_values() -> np.ndarray:
@@ -168,9 +174,9 @@ class TestQuantizeExact:
     @SMALL_FORMATS
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_generic_code_sees_only_values_outside_the_normal_range(self, fmt, oracle, monkeypatch):
-        # The split rounder covers min_normal <= |x| <= max_finite; zeros,
-        # the subnormal range, values beyond +-max_finite, +-inf and NaN
-        # take the generic scalar code.
+        # The split rounder covers min_normal <= |x| <= max_finite and a
+        # zero returns as it is; the subnormal range, values beyond
+        # +-max_finite, +-inf and NaN take the generic scalar code.
         generic, seen = precision._quantize_scalar, []
 
         def spy(x, f):
@@ -183,10 +189,10 @@ class TestQuantizeExact:
         half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
         inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
                   float(np.nextafter(top, 0.0)), top]
-        outside = [0.0, float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
+        outside = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
                    float(np.nextafter(top, np.inf)), top * (1 + half_ulp / 2), 2 * top, 1e300,
                    math.inf, math.nan]
-        for xs, generic_calls in ((inside, 0), (outside, 1)):
+        for xs, generic_calls in ((inside, 0), ([0.0], 0), (outside, 1)):
             for x in xs + [-x for x in xs]:
                 want = quantize(np.array([x]), fmt)[0]
                 seen.clear()
@@ -294,9 +300,39 @@ class TestFormatTable:
         with pytest.raises(ValueError):
             get_format("float8")
 
+    @pytest.mark.parametrize("fmt, want", [pytest.param(f, want, id=f.name) for f, want in (
+        (FLOAT16, (15, -14, 2.0**-11, 65504.0, 2.0**-14, 2.0**-24, -24, np.float16,
+                   (2.0**-14, 65504.0, 2.0**42 + 1))),
+        (BFLOAT16, (127, -126, 2.0**-8, (2 - 2.0**-7) * 2.0**127, 2.0**-126, 2.0**-133, -133, None,
+                    (2.0**-126, (2 - 2.0**-7) * 2.0**127, 2.0**45 + 1))),
+        (FLOAT32, (127, -126, 2.0**-24, (2 - 2.0**-23) * 2.0**127, 2.0**-126, 2.0**-149, -149,
+                   np.float32, (2.0**-126, (2 - 2.0**-23) * 2.0**127, 2.0**29 + 1))),
+        (FLOAT64, (1023, -1022, 2.0**-53, sys.float_info.max, 2.0**-1022, 2.0**-1074, -1074, None, None)),
+        (E11M20, (1023, -1022, 2.0**-21, (2 - 2.0**-20) * 2.0**1023, 2.0**-1022, 2.0**-1042, -1042, None,
+                  (2.0**-1022, sys.float_info.max / (2.0**32 + 1), 2.0**32 + 1))),
+    )])
+    def test_derived_constants(self, fmt, want):
+        names = ("bias", "min_exp", "unit_roundoff", "max_finite", "min_normal", "min_subnormal",
+                 "_ulp_floor", "_native", "_split")
+        assert {n: getattr(fmt, n) for n in names} == dict(zip(names, want))
+
+    def test_constants_belong_to_a_frozen_value(self):
+        fresh = FloatFormat("float16", 5, 10)
+        assert fresh == FLOAT16 and hash(fresh) == hash(FLOAT16) and vars(fresh) == vars(FLOAT16)
+        for attr in ("name", "max_finite", "_split"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fresh, attr, None)
+
     def test_degenerate_format_rejected(self):
         with pytest.raises(ValueError):
             FloatFormat("bad", 1, 10)
+
+    @pytest.mark.parametrize("bits", [(12, 10), (11, 53), (11, 60)], ids=str)
+    def test_format_wider_than_the_carrier_rejected(self, bits):
+        # A 12-bit exponent's max_finite overflows float64, and more than
+        # 52 mantissa bits would round like float64.
+        with pytest.raises(ValueError, match="float64 carrier"):
+            FloatFormat("wide", *bits)
 
 
 finite_doubles = st.floats(
@@ -700,9 +736,6 @@ class TestQuantizeDispatch:
         assert got_counts == [sum(c[j] for _, c in floats) for j in (0, 1)], fmt.name
 
 
-# Its split rounder's top is below max_finite: the values between take
-# the generic code.
-E11M20 = FloatFormat("e11m20", 11, 20)
 _FLOAT_OPS = {"add": (add, operator.add), "sub": (sub, operator.sub), "mul": (mul, operator.mul),
               "dot": (dot, operator.mul)}
 
@@ -740,6 +773,16 @@ class TestFloatOps:
                     assert [mon.underflows, mon.overflows] == counts, (name, fmt.name, a, b)
 
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
+    def test_zeros_keep_their_sign_and_reach_no_monitor(self, fmt):
+        cases = [(add, (1.5, -1.5), 1.0), (sub, (-0.0, 0.0), -1.0), (mul, (-0.0, 3.0), -1.0),
+                 (dot, (-0.0, 1.0), -1.0), (quantize, (-0.0,), -1.0)]
+        for op, args, sign in cases:
+            for monitor in (None, RangeMonitor()):
+                got = op(*args, fmt, monitor)
+                assert type(got) is float and got == 0.0 and math.copysign(1.0, got) == sign, (op, fmt.name)
+                assert monitor is None or (monitor.underflows, monitor.overflows) == (0, 0), (op, fmt.name)
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
     def test_tanh_matches_the_array_path(self, fmt):
         vals = _op_values(fmt, np.random.default_rng(13)) + [0.5, -2.0, 20.0, 1e-300]
         for a in vals:
@@ -752,10 +795,11 @@ class TestFloatOps:
 
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, E11M20], ids=lambda f: f.name)
     def test_only_values_outside_the_split_range_reach_quantize(self, fmt, monkeypatch):
-        # A float op whose exact result x has min_normal <= |x| <= top calls
-        # neither `quantize` nor the generic code nor the monitor; any other
-        # x takes one call of each (the monitor only when one is attached).
-        # `tanh` always calls `quantize`, which returns before the rest.
+        # A float op whose exact result x has min_normal <= |x| <= top, or
+        # is zero, calls neither `quantize` nor the generic code nor the
+        # monitor; any other x takes one call of each (the monitor only
+        # when one is attached).  `tanh` always calls `quantize`, which
+        # returns before the rest.
         calls = {"quantize": 0, "generic": 0, "observe": 0}
         real_quantize, generic, observe = quantize, precision._quantize_scalar, RangeMonitor.observe
 
@@ -772,15 +816,15 @@ class TestFloatOps:
         half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
         inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
                   float(np.nextafter(top, 0.0)), top]
-        outside = [0.0, float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
+        outside = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
                    float(np.nextafter(top, np.inf)), 2 * top, 1e300, math.inf, math.nan]
         # Operands whose exact result is x, and tanh inputs in and out of range.
         cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
-                 for x in inside + [-x for x in inside]]
-        cases += [(tanh, (x,)) for x in (4 * tiny, -4 * tiny, 0.5, -2.0, 20.0)]
+                 for x in inside + [0.0] + [-x for x in inside + [0.0]]]
+        cases += [(tanh, (x,)) for x in (4 * tiny, -4 * tiny, 0.5, -2.0, 20.0, 0.0, -0.0)]
         out_cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
                      for x in outside + [-x for x in outside]]
-        out_cases += [(tanh, (x,)) for x in (0.0, -0.0, tiny / 2, 5e-324, math.nan)]
+        out_cases += [(tanh, (x,)) for x in (tiny / 2, 5e-324, math.nan)]
         for group, outside_calls in ((cases, 0), (out_cases, 1)):
             for op, args in group:
                 for monitor in (None, RangeMonitor()):

@@ -284,9 +284,10 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     sees nothing.  A float that the split rounder takes
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
     the normal range.  So does a float zero, which rounds to itself: only
-    a nonzero float outside the range reaches the monitor.  Only arrays can warn: the float16/float32
-    cast and bfloat16 arrays over `_SMALL` elements emit numpy's overflow
-    `RuntimeWarning`, which solves silence and direct callers see.
+    a nonzero float outside the range reaches the monitor.  Only arrays
+    can warn: the float16/float32 cast and bfloat16 arrays over `_SMALL`
+    elements emit numpy's overflow `RuntimeWarning`, which solves silence
+    and direct callers see.
     """
     split = fmt._split
     if split is None:  # float64 rounds nothing
@@ -308,9 +309,9 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     return out
 
 
-# add, sub and mul round a float result in the split rounder's range in
-# their own frame, as `quantize` would, and send anything else to it.  The
-# three bodies are copies: one body shared through `operator.add`, `sub`
+# add, sub and mul round a float result in the split rounder's range, and
+# return a float zero, in their own frame, as `quantize` would, and send
+# anything else to it.  The three bodies are copies: one body shared through `operator.add`, `sub`
 # and `mul` made the scalar decay table 4% faster, the copies 7% (2-vCPU
 # x86 VM, Python 3.11).
 

@@ -35,7 +35,9 @@ stored rows' values as floats, and the adjoint a, the covector and the
 step cotangents, a field's tuple of parameter cotangents included, are
 floats, as are a running cost's partials.  The parameter accumulator is a
 tuple of floats and the time gradient a list of floats, both made arrays
-on return.  Array values may mix in (a field's array `dtheta`) and round
+on return.  Any unbatched sweep keeps its time gradient as a list of
+floats: `dot` of two vectors, and each field's `dt` for one state, are
+floats.  Array values may mix in (a field's array `dtheta`) and round
 alike.  `d_x` keeps its `(1,)` shape.
 """
 from __future__ import annotations
@@ -290,9 +292,10 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
     # adjoint, and a running cost's partials, are floats.
     one = states.shape[1:] == (1,)
     a = quantize(float(a[0]) if one else a, fmt_high)
-    # Made arrays on return; a one-component sweep accumulates floats.
+    # Made arrays on return; a one-component sweep accumulates floats, and
+    # every unbatched one sums its time gradient on floats.
     g = (0.0,) * field.dim_params if one else np.zeros((*lead, field.dim_params))
-    tgrad = [0.0] * (n + 1) if one else np.zeros((n + 1, *lead))
+    tgrad = np.zeros((n + 1, *lead)) if lead else [0.0] * (n + 1)
     running = objective.running
 
     def cost_partial(fn, i, to_float):

@@ -14,15 +14,17 @@ adjoint rescaling cheap.
 evaluate and pull back every row at once: their matrix-vector products are
 `dot(w, v[..., None, :])`, which broadcasts over the leading axis and rounds
 each row exactly as alone.  Their pullbacks then return `(B, ...)` arrays
-(`dt` is `(B,)`, or a shared 0.0 for `LinearField`).  `PolyDecayField`
-takes one state.
+(`dt` is `(B,)`, or a shared 0.0 for `LinearField`).  For one state
+`dt` is a float, so the time-gradient sums of an unbatched sweep stay on
+floats.  `PolyDecayField` takes one state.
 
 A solve with one state component hands the fields Python floats (see
 `integrate`).  `PolyDecayField` returns the type it gets: a float state
 gives a float value, a float cotangent a float `da` and a tuple of three
 floats as `dtheta`, and `(1,)` arrays give `(1,)` arrays and a `(3,)`
 `dtheta`.  `LinearField` and `MlpField` turn a float state or
-cotangent into a `(1,)` array with `np.atleast_1d` and return arrays.
+cotangent into a `(1,)` array with `np.atleast_1d` and return arrays,
+`dt` excepted.
 """
 from __future__ import annotations
 
@@ -89,7 +91,9 @@ class VelocityField(abc.ABC):
     without the pullback.  `eval_count` counts field evaluations (eval and
     linearize both count, pullback calls do not); it exists so callers can
     assert evaluation budgets, and is the one piece of mutable state on a
-    field.
+    field that callers see.  A field may also cache work that depends on
+    theta alone (`MlpField` keeps its last layer split); a cache changes no
+    result.
     """
 
     dim_state: int
@@ -190,6 +194,11 @@ class MlpField(VelocityField):
     Layer l maps in_l -> widths[l+1] with in_0 = widths[0] + 1 (the state
     plus t) and tanh after every layer except the last.  Parameters pack as
     weight matrix (row-major) then bias, layers in order.
+
+    A solve hands every evaluation the same theta array, so the field keeps
+    the last theta it split into layer views, with the views, and reuses
+    them while the same object (`is`) comes back.  Holding the reference
+    keeps its id from being reused, and views track in-place edits of it.
     """
 
     def __init__(self, widths: Sequence[int] = (2, 32, 32, 2)) -> None:
@@ -204,6 +213,7 @@ class MlpField(VelocityField):
             self._shapes.append((w, prev))
             prev = w
         self.dim_params = sum(o * i + o for o, i in self._shapes)
+        self._split: tuple[np.ndarray, list] | None = None  # (theta, its layers)
 
     def init_params(self, seed: int) -> Params:
         rng = np.random.default_rng(seed)
@@ -214,6 +224,10 @@ class MlpField(VelocityField):
         return Params(np.concatenate(chunks))
 
     def _layers(self, theta):
+        """(w, b) views of theta per layer; the last split is reused for the same theta."""
+        split = self._split
+        if split is not None and split[0] is theta:
+            return split[1]
         out = []
         pos = 0
         for out_d, in_d in self._shapes:
@@ -222,6 +236,7 @@ class MlpField(VelocityField):
             b = theta[pos : pos + out_d]
             pos += out_d
             out.append((w, b))
+        self._split = (theta, out)
         return out
 
     def _linearize(self, t, y, theta, fmt, monitor):
@@ -257,7 +272,8 @@ class MlpField(VelocityField):
                 pos -= out_d * in_d
                 dtheta[..., pos : pos + out_d * in_d] = dw.reshape(*lead, -1)
                 c = dot(w.T, c[..., None, :], fmt, monitor)
-            return FieldVjp(c[..., : self.dim_state], c[..., self.dim_state], dtheta)
+            dt = c[..., self.dim_state]
+            return FieldVjp(c[..., : self.dim_state], dt if lead else float(dt), dtheta)
 
         return vs[-1], pull
 

@@ -460,6 +460,31 @@ def _spiral_teacher() -> LinearField:
     return LinearField(np.array([[-0.2, 1.0], [-1.0, -0.2]]))
 
 
+# Rows of one batched teacher solve in the SGD demo, so the teacher's memory
+# does not grow with `steps`; 16 probes plus 30 minibatches of 4 fit in one.
+TEACHER_BLOCK_ROWS = 512
+
+
+def _solved_minibatches(solve, lead: np.ndarray, rng, steps: int, batch: int):
+    """Yield `solve(lead)`, then (xs, targets) of each of `steps` minibatches.
+
+    The minibatches' rows are standard normal draws from `rng`, in
+    iteration order.  `solve` gets blocks of whole minibatches that fit in
+    TEACHER_BLOCK_ROWS rows with `lead`, which joins the first block (a
+    block holds at least one minibatch); a block is drawn when the one
+    before it is used up.
+    """
+    per_block = max(1, (TEACHER_BLOCK_ROWS - len(lead)) // batch)
+    for start in range(0, steps, per_block):
+        xs = rng.standard_normal((min(per_block, steps - start) * batch, lead.shape[-1]))
+        targets = solve(np.concatenate([lead, xs]) if start == 0 else xs)
+        if start == 0:
+            yield targets[: len(lead)].copy()
+            targets = targets[len(lead) :]
+        for j in range(0, len(xs), batch):
+            yield xs[j : j + batch], targets[j : j + batch]
+
+
 def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     """Train an MLP field to match a linear teacher's terminal states.
 
@@ -467,9 +492,12 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     task is exactly representable by the discrete training objective. The
     training pass runs in config.fmt with loss scaling and the UnscaledSafe
     backward; the reported loss is always evaluated in float64 on the master
-    weights.  Each minibatch runs as one batched solve per pass (teacher,
-    loss, training forward and backward); every row is bit-identical to its
-    own solve.  A bad config value raises ConfigError before anything runs.
+    weights.  The teacher does not depend on training: it solves the probe
+    set and the minibatches, drawn ahead in the training stream's order, in
+    one batched solve per block of at most TEACHER_BLOCK_ROWS rows.  Each
+    minibatch then runs as one batched solve per pass (loss, training
+    forward and backward).  Every row is bit-identical to its own solve.
+    A bad config value raises ConfigError before anything runs.
     """
     keys = ("fmt", "widths", "seed", "steps", "batch", "lr", "loss_scale", "weight_decay")
     fmt_low, student, seed, steps, batch, lr, loss_scale, weight_decay = map(config.resolve, keys)
@@ -509,15 +537,14 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
 
     # Fixed probe set, independent of the training stream: final_loss is
     # deterministic and comparable across formats run with the same seed.
-    probe_rng = np.random.default_rng(seed + 2)
-    probe_xs = np.array([probe_rng.standard_normal(student.dim_state) for _ in range(16)])
-    probe_targets = teacher_targets(probe_xs)
+    # `rng` feeds only the minibatches, so drawing them ahead keeps its order.
+    probe_xs = np.random.default_rng(seed + 2).standard_normal((16, student.dim_state))
+    minibatches = _solved_minibatches(teacher_targets, probe_xs, rng, steps, batch)
+    probe_targets = next(minibatches)
 
     rows = []
     streak = 0
-    for it in range(steps):
-        xs = np.array([rng.standard_normal(student.dim_state) for _ in range(batch)])
-        targets = teacher_targets(xs)
+    for it, (xs, targets) in enumerate(minibatches):
         loss = batch_loss(params, xs, targets)
         result = sgd_step(
             params,

@@ -717,7 +717,9 @@ class TestRoundingCallCount:
         # call quantize only for a nonzero value outside the normal range:
         # the step size h and the backward's scalar time-gradient terms make
         # none (an exact zero such as h * dh returns in the op's frame), and
-        # quantize of the zero time t = 0 returns before the monitor.
+        # quantize of the zero time t = 0 returns before the monitor.  The
+        # field's `dt` and the time-gradient accumulator are Python floats
+        # in an unbatched sweep, so those sums take the float path too.
         calls, observed = [], []
         real, real_observe = precision.quantize, RangeMonitor.observe
 
@@ -744,8 +746,36 @@ class TestRoundingCallCount:
             Scheme.EULER, field, traj, params, terminal_objective(),
             ScalingPolicy.unscaled(), FLOAT16, FLOAT32, monitor=monitor,
         )
-        assert (len(calls), len(observed)) == ((38, 24) if monitored else (38, 0))
+        assert (len(calls), len(observed)) == ((35, 24) if monitored else (35, 0))
 
+    def test_unbatched_mlp_backward_hands_quantize_no_numpy_scalars(self, monkeypatch):
+        # An unbatched multi-component sweep sums the field's `dt` and its
+        # time gradient as Python floats, so no np.float64 scalar misses
+        # the float ops' fast path and reaches quantize; the gradients are
+        # those of the same row swept as a batch of one, on arrays.
+        types = []
+        real = precision.quantize
+
+        def spy(x, *args, **kwargs):
+            types.append(type(x))
+            return real(x, *args, **kwargs)
+
+        for module in (precision, dynamics, integrate, adjoint):
+            monkeypatch.setattr(module, "quantize", spy)
+        field = MlpField((2, 16, 16, 2))
+        params = field.init_params(0)
+        grid = TimeGrid.uniform(1.0, 8)
+        rest = (params, terminal_objective(), ScalingPolicy.unscaled(), FLOAT16, FLOAT32)
+        x = np.array([0.5, -0.25])
+        traj = forward(Scheme.RK4, field, x, grid, params, FLOAT16, FLOAT32)
+        types.clear()
+        grads = backward(Scheme.RK4, field, traj, *rest)
+        assert types and np.float64 not in types
+        btraj = forward(Scheme.RK4, field, x[None], grid, params, FLOAT16, FLOAT32)
+        bgrads = backward(Scheme.RK4, field, btraj, *rest)
+        assert grads.d_x.tobytes() == bgrads.d_x[0].tobytes()
+        assert grads.d_theta.tobytes() == bgrads.d_theta[0].tobytes()
+        assert grads.d_t.tobytes() == bgrads.d_t[:, 0].tobytes()
 
     def test_polydecay_rk4_step_observes_only_roundings_out_of_range(self, monkeypatch):
         # A one-component step runs on floats, the pullback's parameter

@@ -181,6 +181,57 @@ class TestMlpField:
         assert np.array_equal(scaled.dtheta, base.dtheta * 2.0**4)
 
 
+def linearize_bits(field, theta, fmt, y):
+    """The bytes of one linearize at `theta` and of its pullback."""
+    f, pull = field.linearize(0.3, y, theta, fmt)
+    v = pull(np.ones_like(y))
+    return f.tobytes(), v.da.tobytes(), np.float64(v.dt).tobytes(), v.dtheta.tobytes()
+
+
+STATES = {"one": np.array([0.5, -0.25]), "batch": np.array([[0.5, -0.25], [1.5, 0.75], [-2.0, 0.125]])}
+
+
+class TestMlpLayerSplit:
+    """MlpField reuses the layer views of the last theta it split while the
+    same object comes back; every result is that of a fresh split."""
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_in_place_edit_of_theta_is_seen(self, state):
+        field, y = MlpField((2, 4, 4, 2)), STATES[state]
+        theta = field.init_params(1).master.copy()
+        before = linearize_bits(field, theta, FLOAT16, y)
+        layers = field._layers(theta)
+        theta[:] = field.init_params(2).master
+        after = linearize_bits(field, theta, FLOAT16, y)
+        assert field._layers(theta) is layers  # the split was reused
+        assert after == linearize_bits(MlpField((2, 4, 4, 2)), theta.copy(), FLOAT16, y)
+        assert after != before
+
+    @pytest.mark.parametrize("state", list(STATES))
+    def test_alternating_master_and_low_copy(self, state):
+        field, y = MlpField((2, 4, 4, 2)), STATES[state]
+        params = field.init_params(3)
+        theta_low = params.low(FLOAT16)
+        for theta, fmt in [(params.master, FLOAT64), (theta_low, FLOAT16)] * 2:
+            fresh = linearize_bits(MlpField((2, 4, 4, 2)), theta, fmt, y)
+            assert linearize_bits(field, theta, fmt, y) == fresh
+        # An equal array that is another object is split anew.
+        copy = theta_low.copy()
+        assert field._layers(copy) is not field._layers(theta_low)
+
+    def test_eval_count_counts_every_evaluation(self):
+        field = MlpField((2, 4, 4, 2))
+        theta = field.init_params(0).master
+        y = STATES["one"]
+        pulls = [field.linearize(0.1, y, theta, FLOAT16)[1] for _ in range(3)]
+        field.eval(0.1, y, theta, FLOAT16)
+        field.vjp(0.1, y, theta.copy(), y, FLOAT16)
+        assert field.eval_count == 5
+        for pull in pulls:
+            pull(y)
+        assert field.eval_count == 5
+
+
 class TestWeightsIo:
     def test_roundtrip(self, tmp_path):
         field = MlpField((2, 4, 4, 2))

@@ -20,7 +20,7 @@ from mpode.adjoint import (
     sgd_step,
 )
 from mpode.cli import main
-from mpode.dynamics import MlpField, Params, PolyDecayField
+from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.integrate import NonFiniteState, Scheme, TimeGrid, forward
 from mpode.precision import FLOAT16, FLOAT32, FLOAT64, get_format
 from mpode.oracles import analytic_gradient, analytic_solution, fd_gradient
@@ -514,6 +514,78 @@ class TestSgdDemoBatch:
         with pytest.raises(runners.ConfigError, match=f"^{key}: "):
             run_sgd_demo(ExperimentConfig(**{key: value}))
         assert not solves
+
+
+def teacher_solve_rows(monkeypatch):
+    """The row counts of run_sgd_demo's teacher solves, one entry per solve."""
+    rows = []
+    real = runners.forward
+
+    def spy(scheme, field, x, *args):
+        if isinstance(field, LinearField):
+            rows.append(len(x))
+        return real(scheme, field, x, *args)
+
+    monkeypatch.setattr(runners, "forward", spy)
+    return rows
+
+
+class TestSgdTeacherBlocks:
+    """The demo's teacher solves the probe set and every minibatch ahead of
+    training, one batched float64 solve per block of minibatches."""
+
+    def test_one_solve_for_the_benchmark_run(self, monkeypatch):
+        rows = teacher_solve_rows(monkeypatch)
+        run_sgd_demo(ExperimentConfig(fmt="float16", seed=0, steps=30))
+        assert rows == [16 + 30 * 4]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_targets_equal_per_minibatch_solves(self, monkeypatch, seed):
+        stream = []
+        real = runners._solved_minibatches
+
+        def recording(*args):
+            for item in real(*args):
+                stream.append(item)
+                yield item
+
+        monkeypatch.setattr(runners, "_solved_minibatches", recording)
+        config = ExperimentConfig(fmt="float16", seed=seed, steps=30)
+        run_sgd_demo(config)
+        grid, teacher = TimeGrid.uniform(1.0, 16), runners._spiral_teacher()
+
+        def solve(xs):
+            return forward(Scheme.EULER, teacher, xs, grid, None, FLOAT64, FLOAT64).states[-1]
+
+        probe_targets, *minibatches = stream
+        probe_rng = np.random.default_rng(seed + 2)
+        probe_xs = np.array([probe_rng.standard_normal(2) for _ in range(16)])
+        assert probe_targets.tobytes() == solve(probe_xs).tobytes()
+        assert len(minibatches) == config.steps
+        rng = np.random.default_rng(seed + 1)
+        for xs, targets in minibatches:
+            want = np.array([rng.standard_normal(2) for _ in range(config.batch)])
+            assert xs.tobytes() == want.tobytes()
+            assert targets.tobytes() == solve(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            # 16 probes and 2 minibatches, then 2 minibatches a block
+            (ExperimentConfig(fmt="float16", seed=2, steps=9), [24, 8, 8, 8, 4]),
+            # a minibatch larger than a block is solved alone
+            (ExperimentConfig(fmt="float16", seed=4, steps=2, batch=30), [46, 30]),
+        ],
+        ids=["blocks-of-minibatches", "minibatch-over-a-block"],
+    )
+    def test_blocks_give_the_block_free_csv(self, monkeypatch, tmp_path, config, sizes):
+        monkeypatch.setattr(runners, "TEACHER_BLOCK_ROWS", 24)
+        want = row_loop_sgd_csv(config)
+        rows = teacher_solve_rows(monkeypatch)
+        config.out = str(tmp_path / "sgd.csv")
+        run_sgd_demo(config)
+        assert rows == sizes
+        assert (tmp_path / "sgd.csv").read_text() == want
 
 
 class TestRunSolve:

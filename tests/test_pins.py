@@ -1,9 +1,11 @@
 """The benchmark's pinned outputs, checked by the test suite.
 
-One item of each `perfbench` workload at seed 0 must break none of its
-invariants and reproduce its digest in `perfbench/pins.json`, so a change
-that moves a pinned output byte fails here before any benchmark run.
-`perfbench/` is only read.
+One item of each `perfbench` workload at seed 0, and sgd-train items at a
+few more seeds, must break none of their invariants and reproduce their
+digests in `perfbench/pins.json`, so a change that moves a pinned output
+byte fails here before any benchmark run.  The sgd-train seeds also check
+the order in which a training run draws its minibatches.  `perfbench/` is
+only read.
 """
 import importlib.util
 import json
@@ -26,3 +28,12 @@ def test_seed_0_item_matches_its_pin(name, tmp_path):
     item = wl.run(inputs, tmp_path)
     assert item.problems == []
     assert item.digest == PINS[name][inputs["key"]]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 31])
+def test_sgd_train_item_matches_its_pin(seed, tmp_path):
+    wl = workloads.WORKLOADS["sgd-train"]
+    inputs = wl.inputs(seed)
+    item = wl.run(inputs, tmp_path)
+    assert item.problems == []
+    assert item.digest == PINS["sgd-train"][inputs["key"]]

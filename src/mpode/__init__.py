@@ -5,6 +5,8 @@ high-precision state accumulator; the backward pass recomputes increments
 step by step and keeps the adjoint in range with a per-step power-of-two
 scale factor.  All narrow arithmetic is software-emulated and bit-exact.
 """
+from types import ModuleType as _ModuleType
+
 from .adjoint import (
     BackwardTrace,
     ExhaustedRescale,
@@ -17,23 +19,8 @@ from .adjoint import (
     objective_value,
     sgd_step,
 )
-from .dynamics import (
-    LinearField,
-    MlpField,
-    Params,
-    PolyDecayField,
-    VelocityField,
-    load_weights,
-    save_weights,
-)
-from .integrate import (
-    NonFiniteState,
-    Scheme,
-    TimeGrid,
-    Trajectory,
-    format_float,
-    forward,
-)
+from .dynamics import LinearField, MlpField, Params, PolyDecayField, VelocityField
+from .integrate import NonFiniteState, Scheme, TimeGrid, Trajectory, format_float, forward
 from .oracles import analytic_gradient, analytic_solution, fd_gradient
 from .precision import (
     BFLOAT16,
@@ -56,49 +43,10 @@ from .runners import (
     run_table,
 )
 
-__all__ = [
-    "BFLOAT16",
-    "BackwardTrace",
-    "ErrorRow",
-    "ExhaustedRescale",
-    "ExperimentConfig",
-    "FLOAT16",
-    "FLOAT32",
-    "FLOAT64",
-    "FORMATS",
-    "FloatFormat",
-    "Gradients",
-    "LinearField",
-    "MlpField",
-    "NonFiniteAccumulator",
-    "NonFiniteState",
-    "Objective",
-    "Params",
-    "PolyDecayField",
-    "RangeMonitor",
-    "RunningCost",
-    "ScalingPolicy",
-    "Scheme",
-    "TimeGrid",
-    "Trajectory",
-    "VelocityField",
-    "analytic_gradient",
-    "analytic_solution",
-    "backward",
-    "decay_benchmark",
-    "fd_gradient",
-    "format_float",
-    "forward",
-    "get_format",
-    "load_weights",
-    "objective_value",
-    "quantize",
-    "run_sgd_demo",
-    "run_solve",
-    "run_sweep",
-    "run_table",
-    "save_weights",
-    "sgd_step",
-]
+# Every public name imported above, sorted; the submodules are not exports.
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import click
 
+from .adjoint import PolicyKind
+from .integrate import Scheme
+from .precision import FORMATS
 from .runners import (
     SWEEP_PRESETS,
     ConfigError,
@@ -15,8 +18,27 @@ from .runners import (
     run_table,
 )
 
+DEFAULTS = ExperimentConfig()
+SCHEMES = click.Choice([s.value for s in Scheme])
+FORMAT_NAMES = click.Choice(list(FORMATS))
+POLICIES = click.Choice([p.value for p in PolicyKind])
 
-@click.group()
+
+class _Group(click.Group):
+    """A group whose commands end a bad config or a file error in one `Error:` line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            raise click.ClickException(f"config: {exc}") from None
+        except OSError as exc:
+            if exc.filename is None:  # e.g. a closed stdout, which click handles
+                raise
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}") from None
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Mixed-precision ODE solvers with a scaled adjoint backward pass."""
 
@@ -24,10 +46,10 @@ def main() -> None:
 @main.command()
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 @click.option(
-    "--steps", default=400, show_default=True, type=click.IntRange(min=1),
+    "--steps", default=DEFAULTS.n, show_default=True, type=click.IntRange(min=1),
     help="Number of integration steps.",
 )
-@click.option("--scheme", default="rk4", show_default=True, type=click.Choice(["euler", "rk4"]))
+@click.option("--scheme", default=DEFAULTS.scheme, show_default=True, type=SCHEMES)
 def table(out: str, steps: int, scheme: str) -> None:
     """Error table of the decay benchmark across formats and policies."""
     rows = run_table(ExperimentConfig(n=steps, scheme=scheme, out=out))
@@ -36,18 +58,13 @@ def table(out: str, steps: int, scheme: str) -> None:
 
 @main.command()
 @click.option("--n", "n_list", required=True, help="Comma-separated step counts, e.g. 64,128,256.")
-@click.option("--scheme", default="rk4", show_default=True, type=click.Choice(["euler", "rk4"]))
+@click.option("--scheme", default=DEFAULTS.scheme, show_default=True, type=SCHEMES)
+@click.option("--fmt", default=DEFAULTS.fmt, show_default=True, type=FORMAT_NAMES)
+@click.option("--policy", default=DEFAULTS.policy, show_default=True, type=POLICIES)
 @click.option(
-    "--fmt",
-    default="float16",
-    show_default=True,
-    type=click.Choice(["float16", "bfloat16", "float32", "float64"]),
+    "--field", default=DEFAULTS.field, show_default=True, type=click.Choice(list(SWEEP_PRESETS))
 )
-@click.option(
-    "--policy", default="dynamic", show_default=True, type=click.Choice(["none", "safe", "dynamic"])
-)
-@click.option("--field", default="polydecay", show_default=True, type=click.Choice(list(SWEEP_PRESETS)))
-@click.option("--seed", default=0, show_default=True, help="Seed for the mlp field.")
+@click.option("--seed", default=DEFAULTS.seed, show_default=True, help="Seed for the mlp field.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int, out: str) -> None:
     """Relative errors vs the float64 same-scheme run across step counts."""
@@ -55,36 +72,27 @@ def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int
     config = ExperimentConfig(
         **SWEEP_PRESETS[field], seed=seed, n=ns, scheme=scheme, fmt=fmt, policy=policy, out=out
     )
-    try:
-        rows = run_sweep(config)
-    except ConfigError as exc:
-        raise click.ClickException(f"config: {exc}") from None
+    rows = run_sweep(config)
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
 @main.command("sgd-demo")
 @click.option(
-    "--steps", default=500, show_default=True, type=click.IntRange(min=1),
+    "--steps", default=DEFAULTS.steps, show_default=True, type=click.IntRange(min=1),
     help="Number of SGD iterations.",
 )
+@click.option("--fmt", default=DEFAULTS.fmt, show_default=True, type=FORMAT_NAMES)
 @click.option(
-    "--fmt",
-    default="float16",
-    show_default=True,
-    type=click.Choice(["float16", "bfloat16", "float32", "float64"]),
+    "--seed", default=DEFAULTS.seed, show_default=True, help="Seed for data and initialization."
 )
-@click.option("--seed", default=0, show_default=True, help="Seed for data and initialization.")
-@click.option("--lr", default=0.05, show_default=True, help="Learning rate.")
+@click.option("--lr", default=DEFAULTS.lr, show_default=True, help="Learning rate.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="CSV output path.")
 def sgd_demo(steps: int, fmt: str, seed: int, lr: float, out: str) -> None:
     """Train an MLP field against a linear teacher with loss scaling.
 
     A bad value prints `Error: config: <key>: <reason>` and exits 1.
     """
-    try:
-        result = run_sgd_demo(ExperimentConfig(fmt=fmt, seed=seed, steps=steps, lr=lr, out=out))
-    except ConfigError as exc:
-        raise click.ClickException(f"config: {exc}") from None
+    result = run_sgd_demo(ExperimentConfig(fmt=fmt, seed=seed, steps=steps, lr=lr, out=out))
     click.echo(f"wrote {len(result.rows)} rows to {out}")
     click.echo(f"final loss (float64 eval): {result.final_loss:.6g}")
 
@@ -102,8 +110,6 @@ def solve(config_path: str) -> None:
     """
     try:
         paths = run_solve(ExperimentConfig.from_file(config_path))
-    except ConfigError as exc:
-        raise click.ClickException(f"config: {exc}") from None
     except SolveFailed as exc:
         for p in exc.paths:
             click.echo(f"wrote {p}")

@@ -29,9 +29,7 @@ cotangent into a `(1,)` array with `np.atleast_1d` and return arrays,
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,8 +43,6 @@ __all__ = [
     "PolyDecayField",
     "LinearField",
     "MlpField",
-    "save_weights",
-    "load_weights",
 ]
 
 
@@ -277,25 +273,3 @@ class MlpField(VelocityField):
 
         return vs[-1], pull
 
-
-def save_weights(path: str | Path, field: MlpField, params: Params) -> None:
-    """Write the flat parameter vector as little-endian float64 plus a JSON sidecar."""
-    path = Path(path)
-    path.write_bytes(np.ascontiguousarray(params.master, dtype="<f8").tobytes())
-    sidecar = {
-        "widths": list(field.widths),
-        "dtype": "<f8",
-        "count": int(params.master.size),
-        "layout": "per layer: weight matrix row-major, then bias; layers input to output",
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def load_weights(path: str | Path) -> tuple[MlpField, Params]:
-    path = Path(path)
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    field = MlpField(sidecar["widths"])
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
-    if flat.size != sidecar["count"] or flat.size != field.dim_params:
-        raise ValueError("weight file does not match its sidecar")
-    return field, Params(flat)

@@ -155,8 +155,6 @@ class Trajectory:
     grid: TimeGrid
     states: np.ndarray  # (n_steps + 1, [B,] dim) low-precision stored states
     final_hp: np.ndarray  # ([B,] dim) high-precision accumulator at the last node
-    fmt_low: FloatFormat
-    fmt_high: FloatFormat
 
     def to_csv(self, path: str | Path) -> None:
         """One line per node; a batched trajectory raises ValueError."""
@@ -289,11 +287,9 @@ def forward(
         y_low = quantize(y, fmt_low)
         states[i + 1] = y_low
         if not _all_finite(y_low):
-            partial = Trajectory(
-                TimeGrid(t[: i + 2]), states[: i + 2].copy(), np.reshape(y, x.shape), fmt_low, fmt_high
-            )
+            partial = Trajectory(TimeGrid(t[: i + 2]), states[: i + 2].copy(), np.reshape(y, x.shape))
             raise NonFiniteState(i, partial)
-    return Trajectory(grid, states, np.reshape(y, x.shape), fmt_low, fmt_high)
+    return Trajectory(grid, states, np.reshape(y, x.shape))
 
 
 class StepVjp(NamedTuple):

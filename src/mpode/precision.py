@@ -238,24 +238,20 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
     return y
 
 
-def _round_float(x: float, fmt: FloatFormat) -> float:
-    """`quantize` of a float in a narrow format; `quantize` inlines it."""
-    tiny, top, splitter = fmt._split
-    if tiny <= abs(x) <= top:
-        g = splitter * x
-        return g + (x - g)
-    return _quantize_scalar(x, fmt)
-
-
 def _quantize_other(x, fmt: FloatFormat):
-    """`quantize` of what its own two fast paths do not take, in a narrow format."""
+    """`quantize` of what its own two fast paths do not take, in a narrow format.
+
+    A number rounds as its float, and a small array without a native dtype
+    one float at a time, both with the split rounder `quantize` inlines.
+    """
+    tiny, top, splitter = fmt._split
     if isinstance(x, (float, int)):
-        return _round_float(float(x), fmt)
+        x = float(x)
+        return (g := splitter * x) + (x - g) if tiny <= abs(x) <= top else _quantize_scalar(x, fmt)
     x = np.asarray(x, dtype=np.float64)
     if fmt._native is not None:
         return x.astype(fmt._native).astype(np.float64)
-    if x.size <= _SMALL:  # `_round_float` inlined, its constants bound once
-        tiny, top, splitter = fmt._split
+    if x.size <= _SMALL:
         out = [(g := splitter * v) + (v - g) if tiny <= abs(v) <= top else _quantize_scalar(v, fmt)
                for v in x.ravel().tolist()]
         return np.array(out).reshape(x.shape)

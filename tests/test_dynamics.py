@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from mpode.dynamics import (
-    LinearField,
-    MlpField,
-    Params,
-    PolyDecayField,
-    load_weights,
-    save_weights,
-)
+from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.precision import FLOAT16, FLOAT64, RangeMonitor, quantize
 
 
@@ -231,22 +224,3 @@ class TestMlpLayerSplit:
             pull(y)
         assert field.eval_count == 5
 
-
-class TestWeightsIo:
-    def test_roundtrip(self, tmp_path):
-        field = MlpField((2, 4, 4, 2))
-        params = field.init_params(9)
-        path = tmp_path / "weights.bin"
-        save_weights(path, field, params)
-        field2, params2 = load_weights(path)
-        assert field2.widths == field.widths
-        assert np.array_equal(params2.master, params.master)
-
-    def test_sidecar_mismatch_rejected(self, tmp_path):
-        field = MlpField((2, 4, 4, 2))
-        params = field.init_params(9)
-        path = tmp_path / "weights.bin"
-        save_weights(path, field, params)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_weights(path)

@@ -842,3 +842,28 @@ class TestCli:
             main, ["sweep", "--n", "16", "--scheme", "rk45", "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["table", "--steps", "4"],
+            ["sweep", "--n", "4"],
+            ["sgd-demo", "--steps", "1"],
+        ],
+        ids=["table", "sweep", "sgd-demo"],
+    )
+    def test_out_in_missing_directory_fails_in_one_line(self, tmp_path, args):
+        out = tmp_path / "missing" / "out.csv"
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {out}: No such file or directory\n"
+
+    def test_solve_out_in_missing_directory_fails_in_one_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 4\nout = {tmp_path / 'missing' / 'sol'}\n")
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        path = tmp_path / "missing" / "sol_trajectory.csv"
+        assert result.output == f"Error: {path}: No such file or directory\n"

@@ -46,12 +46,12 @@ import enum
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .integrate import Scheme, Trajectory, _add_dtheta, _all_finite, build_step_tape, format_float
+from .integrate import Scheme, Trajectory, _add_dtheta, _all_finite, _theta_low, build_step_tape, format_float
 from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub
 
 __all__ = [
@@ -213,7 +213,7 @@ def backward(
     scheme: Scheme,
     field: VelocityField,
     traj: Trajectory,
-    params: Params | None,
+    params: Params | Sequence[Params] | None,
     objective: Objective,
     policy: ScalingPolicy,
     fmt_low: FloatFormat,
@@ -224,8 +224,11 @@ def backward(
 ) -> Gradients:
     """Reverse sweep over a stored trajectory, one row or a batch.
 
-    Batched shapes are in the module docstring; `dynamic` with a batch of
-    more than one row raises ValueError before any work.  Exactly
+    Batched shapes are in the module docstring.  `params` is one `Params`
+    shared by every row, or for a batched trajectory a sequence of B, one
+    per row, as in `integrate.forward`; any other count, a sequence for an
+    unbatched trajectory, and `dynamic` with a batch of more than one row
+    raise ValueError before any work.  Exactly
     n_steps * scheme.stages field evaluations are performed for any number
     of policies (`_lockstep`) and rescale attempts: they share the tapes.
     `scale_multiplier` (a power of two) shifts the whole scale sequence and
@@ -248,7 +251,7 @@ def _lockstep(
 ) -> list[Gradients | ExhaustedRescale | NonFiniteAccumulator]:
     """`backward` of each policy, sweeping all of them over one tape per step; a
     policy's ExhaustedRescale or NonFiniteAccumulator is its outcome, a ValueError raises."""
-    theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
+    theta_low = _theta_low(params, traj.states.shape[1:], fmt_low)
     t = traj.grid.t
     ys = traj.states[:, 0].tolist() if traj.states.shape[1:] == (1,) else traj.states
     sweeps = [

@@ -5,7 +5,7 @@ from __future__ import annotations
 import click
 
 from .adjoint import PolicyKind
-from .integrate import Scheme
+from .integrate import NonFiniteState, Scheme
 from .precision import FORMATS
 from .runners import (
     SWEEP_PRESETS,
@@ -25,13 +25,16 @@ POLICIES = click.Choice([p.value for p in PolicyKind])
 
 
 class _Group(click.Group):
-    """A group whose commands end a bad config or a file error in one `Error:` line."""
+    """A group whose commands end a bad config, a file error or a solve that
+    blows up (NonFiniteState, e.g. sgd-demo's float64 loss) in one `Error:` line."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except ConfigError as exc:
             raise click.ClickException(f"config: {exc}") from None
+        except NonFiniteState as exc:
+            raise click.ClickException(str(exc)) from None
         except OSError as exc:
             if exc.filename is None:  # e.g. a closed stdout, which click handles
                 raise
@@ -90,7 +93,9 @@ def sweep(n_list: str, scheme: str, fmt: str, policy: str, field: str, seed: int
 def sgd_demo(steps: int, fmt: str, seed: int, lr: float, out: str) -> None:
     """Train an MLP field against a linear teacher with loss scaling.
 
-    A bad value prints `Error: config: <key>: <reason>` and exits 1.
+    A bad value prints `Error: config: <key>: <reason>` and exits 1, as
+    does a float64 loss that blows up, with `Error: non-finite state after
+    step <i>`.
     """
     result = run_sgd_demo(ExperimentConfig(fmt=fmt, seed=seed, steps=steps, lr=lr, out=out))
     click.echo(f"wrote {len(result.rows)} rows to {out}")

@@ -191,6 +191,12 @@ class MlpField(VelocityField):
     plus t) and tanh after every layer except the last.  Parameters pack as
     weight matrix (row-major) then bias, layers in order.
 
+    theta is `(n_params,)`, shared by every row of a `(B, dim)` batch, or
+    `(B, n_params)`, one parameter vector per row.  The layer split runs
+    along theta's last axis and every op is elementwise or a last-axis
+    `dot`, so each row is bit-identical to its own evaluation with its own
+    theta, and its pullback's `dtheta` row to its own pullback's.
+
     A solve hands every evaluation the same theta array, so the field keeps
     the last theta it split into layer views, with the views, and reuses
     them while the same object (`is`) comes back.  Holding the reference
@@ -220,16 +226,18 @@ class MlpField(VelocityField):
         return Params(np.concatenate(chunks))
 
     def _layers(self, theta):
-        """(w, b) views of theta per layer; the last split is reused for the same theta."""
+        """(w, b) views of theta per layer, split along its last axis; the
+        last split is reused for the same theta."""
         split = self._split
         if split is not None and split[0] is theta:
             return split[1]
         out = []
         pos = 0
+        lead = theta.shape[:-1]
         for out_d, in_d in self._shapes:
-            w = theta[pos : pos + out_d * in_d].reshape(out_d, in_d)
+            w = theta[..., pos : pos + out_d * in_d].reshape(*lead, out_d, in_d)
             pos += out_d * in_d
-            b = theta[pos : pos + out_d]
+            b = theta[..., pos : pos + out_d]
             pos += out_d
             out.append((w, b))
         self._split = (theta, out)
@@ -267,7 +275,7 @@ class MlpField(VelocityField):
                 dw = mul(c[..., :, None], vs[l][..., None, :], fmt, monitor)
                 pos -= out_d * in_d
                 dtheta[..., pos : pos + out_d * in_d] = dw.reshape(*lead, -1)
-                c = dot(w.T, c[..., None, :], fmt, monitor)
+                c = dot(w.swapaxes(-1, -2), c[..., None, :], fmt, monitor)
             dt = c[..., self.dim_state]
             return FieldVjp(c[..., : self.dim_state], dt if lead else float(dt), dtheta)
 

@@ -18,7 +18,11 @@ with a leading batch axis; the stored states are then `(n + 1, dim)` or
 `(n + 1, B, dim)`, and every stage value and step cotangent carries the same
 leading axis.  Each rounded op works elementwise, and `dot` sums along the
 last axis only, so every row of a batch is bit-identical to its run alone.
-Time, step size and the parameters are shared by all rows.
+Time and step size are shared by all rows.  The parameters are too, or,
+given as a sequence of `Params` (`forward` and `adjoint.backward`), each
+row has its own: the rounded copies stack to `(B, n_params)`, which a
+field that takes them (`MlpField`) splits along the last axis, so each row
+is again bit-identical to its run alone with its own parameters.
 
 A state with one component (`x.shape == (1,)`, not a batch of one) runs on
 Python floats: `forward` carries the high-precision state and the stage
@@ -37,7 +41,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,6 +204,27 @@ def _add_dtheta(acc, d, fmt, monitor=None, scale=None):
     return add(acc, d if scale is None else mul(scale, d, fmt, monitor), fmt, monitor)
 
 
+def _theta_low(params, shape: tuple, fmt: FloatFormat) -> np.ndarray:
+    """The rounded parameters of a solve whose state has `shape`.
+
+    One `Params` (or None, no parameters) is shared by every row and gives
+    `(n_params,)`.  A sequence of B gives `(B, n_params)`, one row per row
+    of a `(B, dim)` batch; a count that is not B, or a state that is not a
+    batch, raises ValueError.
+    """
+    if params is None:
+        return np.zeros(0)
+    if isinstance(params, Params):
+        return params.low(fmt)
+    params = list(params)
+    if len(shape) != 2 or len(params) != shape[0]:
+        raise ValueError(
+            f"{len(params)} parameter sets for a state of shape {shape}: "
+            "per-row parameters take one per row of a (B, dim) batch"
+        )
+    return quantize(np.stack([p.master for p in params]), fmt)
+
+
 def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
     """Run a tableau once; returns the increment, stages, pullbacks and weights.
 
@@ -250,7 +275,7 @@ def forward(
     field: VelocityField,
     x: np.ndarray,
     grid: TimeGrid,
-    params: Params | None,
+    params: Params | Sequence[Params] | None,
     fmt_low: FloatFormat,
     fmt_high: FloatFormat,
     monitor: RangeMonitor | None = None,
@@ -259,9 +284,12 @@ def forward(
 
     x is one state `(dim,)` or a batch `(B, dim)`; a non-finite value in any
     row stops the whole batch.  The exception carries the partial
-    trajectory for inspection.  Overflow to inf is the documented rounding
-    behaviour and blow-up is detected explicitly, so numpy's FP warnings
-    are silenced for the whole solve, the parameter rounding included.
+    trajectory for inspection.  `params` is one `Params` shared by every
+    row, or for a batch a sequence of B, one per row; any other count, or
+    a sequence for one state, raises ValueError before any work.  Overflow
+    to inf is the documented rounding behaviour and blow-up is detected
+    explicitly, so numpy's FP warnings are silenced for the whole solve,
+    the parameter rounding included.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -270,7 +298,7 @@ def forward(
         raise ValueError(
             f"initial state has shape {x.shape}, field wants ({field.dim_state},) or (B, {field.dim_state})"
         )
-    theta_low = params.low(fmt_low) if params is not None else np.zeros(0)
+    theta_low = _theta_low(params, x.shape, fmt_low)
     t = grid.t
     n = grid.n_steps
     # A one-component state runs as a float (module docstring); only the

@@ -2,13 +2,16 @@
 
 Every runner consumes an ExperimentConfig and emits deterministic CSV, so
 each reported row can be reproduced by calling forward/backward directly
-with the row's parameters.
+with the row's parameters.  An `out` in a missing directory raises the
+FileNotFoundError that writing it would, before the first solve.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -287,6 +290,13 @@ def _terminal_objective() -> Objective:
     )
 
 
+def _check_out(path: str | Path | None) -> None:
+    """Raise the FileNotFoundError that writing `path` would, if it is set
+    and its directory is missing; the runners call it before their first solve."""
+    if path and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def _high_format(fmt_low: FloatFormat) -> FloatFormat:
     return FLOAT64 if fmt_low is FLOAT64 else FLOAT32
 
@@ -400,6 +410,7 @@ def run_table(config: ExperimentConfig) -> list[ErrorRow]:
     y_ref = analytic_solution(t_final, float(x[0]), params.master)
     refs = (y_ref, *analytic_gradient(t_final, float(x[0]), params.master))
     policies = [ScalingPolicy.from_name(name) for name in TABLE_POLICIES]
+    _check_out(config.out)
 
     rows = []
     for fmt_name in TABLE_FORMATS:
@@ -422,9 +433,11 @@ def run_sweep(config: ExperimentConfig) -> list[ErrorRow]:
     field, params, x = build_field(config)
     scheme, fmt, policy = map(config.resolve, ("scheme", "fmt", "policy"))
     objective = _terminal_objective()
+    ns = config.n_list()
+    _check_out(config.out)
 
     rows = []
-    for n in config.n_list():
+    for n in ns:
         grid = config.resolve("t_final", n)
         traj_ref = forward(scheme, field, x, grid, params, FLOAT64, FLOAT64)
         grads_ref = backward(
@@ -495,12 +508,21 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     weights.  The teacher does not depend on training: it solves the probe
     set and the minibatches, drawn ahead in the training stream's order, in
     one batched solve per block of at most TEACHER_BLOCK_ROWS rows.  Each
-    minibatch then runs as one batched solve per pass (loss, training
-    forward and backward).  Every row is bit-identical to its own solve.
-    A bad config value raises ConfigError before anything runs.
+    minibatch then trains in one batched forward and one backward.  Nor
+    does training read the losses: each iteration's minibatch waits with
+    its weights, and the waiting ones are solved in one float64 forward,
+    with one parameter set per row, when the next minibatch would take
+    them over TEACHER_BLOCK_ROWS rows, and once at the end together with
+    the probe set for final_loss.  Every row is bit-identical to its own
+    solve, and each loss sums its rows in order.
+    A bad config value raises ConfigError, and an `out` in a missing
+    directory FileNotFoundError, before anything runs.  A float64 loss
+    solve that blows up (a learning rate so large that the weights do)
+    raises NonFiniteState when its block is solved.
     """
     keys = ("fmt", "widths", "seed", "steps", "batch", "lr", "loss_scale", "weight_decay")
     fmt_low, student, seed, steps, batch, lr, loss_scale, weight_decay = map(config.resolve, keys)
+    _check_out(config.out)
     scheme = Scheme.EULER
     n_steps = 16
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -512,12 +534,28 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     def teacher_targets(xs: np.ndarray) -> np.ndarray:
         return forward(scheme, teacher, xs, grid, None, FLOAT64, FLOAT64).states[-1]
 
-    def batch_loss(p: Params, xs: np.ndarray, targets: np.ndarray) -> float:
-        final = forward(scheme, student, xs, grid, p, FLOAT64, FLOAT64).states[-1]
-        total = 0.0
-        for y, target in zip(final, targets):
-            total += 0.5 * float(np.sum((y - target) ** 2))
-        return total / len(xs)
+    # (params, xs, targets) of each loss not yet solved, and the losses
+    # solved so far, in iteration order.
+    queue: list[tuple[Params, np.ndarray, np.ndarray]] = []
+    losses: list[float] = []
+
+    def solve_losses() -> None:
+        xs = np.concatenate([q_xs for _, q_xs, _ in queue])
+        per_row = [p for p, q_xs, _ in queue for _ in range(len(q_xs))]
+        final = forward(scheme, student, xs, grid, per_row, FLOAT64, FLOAT64).states[-1]
+        pos = 0
+        for _, q_xs, targets in queue:
+            total = 0.0
+            for y, target in zip(final[pos : pos + len(q_xs)], targets):
+                total += 0.5 * float(np.sum((y - target) ** 2))
+            losses.append(total / len(q_xs))
+            pos += len(q_xs)
+        queue.clear()
+
+    def queue_loss(p: Params, xs: np.ndarray, targets: np.ndarray) -> None:
+        if queue and sum(len(q_xs) for _, q_xs, _ in queue) + len(xs) > TEACHER_BLOCK_ROWS:
+            solve_losses()
+        queue.append((p, xs, targets))
 
     def scaled_batch_grad(p: Params, scale: float, fmt: FloatFormat, xs, targets) -> np.ndarray:
         objective = Objective(
@@ -542,10 +580,10 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     minibatches = _solved_minibatches(teacher_targets, probe_xs, rng, steps, batch)
     probe_targets = next(minibatches)
 
-    rows = []
+    trained = []  # (loss_scale, accepted) after each iteration
     streak = 0
-    for it, (xs, targets) in enumerate(minibatches):
-        loss = batch_loss(params, xs, targets)
+    for xs, targets in minibatches:
+        queue_loss(params, xs, targets)
         result = sgd_step(
             params,
             lambda p, s, f: scaled_batch_grad(p, s, f, xs, targets),
@@ -556,8 +594,11 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
             streak=streak,
         )
         params, loss_scale, streak = result.params, result.loss_scale, result.streak
-        rows.append((it, loss, loss_scale, result.accepted))
-    final_loss = batch_loss(params, probe_xs, probe_targets)
+        trained.append((loss_scale, result.accepted))
+    queue_loss(params, probe_xs, probe_targets)
+    solve_losses()
+    *trace, final_loss = losses
+    rows = [(it, loss, *after) for it, (loss, after) in enumerate(zip(trace, trained))]
     result = SgdDemoResult(rows, final_loss, params)
     if config.out:
         Path(config.out).write_text(result.to_csv())
@@ -585,12 +626,15 @@ def run_solve(config: ExperimentConfig) -> tuple[Path, Path] | None:
     field, params, x = build_field(config)
     scheme, fmt_low, policy, n = map(config.resolve, ("scheme", "fmt", "policy", "n"))
     grid = config.resolve("t_final", n)
+    if config.out:
+        stem = Path(config.out)
+        traj_path = stem.with_name(stem.name + "_trajectory.csv")
+        _check_out(traj_path)
     [(traj, grads, status)] = _solve(scheme, field, params, x, grid, fmt_low, [policy])
     paths: tuple[Path, ...] = ()
     if config.out:
-        stem = Path(config.out)
-        paths = (stem.with_name(stem.name + "_trajectory.csv"),)
-        traj.to_csv(paths[0])
+        paths = (traj_path,)
+        traj.to_csv(traj_path)
         if grads is not None:
             paths += (stem.with_name(stem.name + "_gradients.csv"),)
             grads.to_csv(paths[1])

@@ -30,7 +30,7 @@ from mpode.oracles import fd_gradient
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, get_format
 from mpode.runners import decay_benchmark
 
-from test_integrate import batch_problem, high_format, same_bits
+from test_integrate import batch_problem, high_format, per_row_problem, same_bits
 
 
 def terminal_objective(factor=1.0):
@@ -504,6 +504,43 @@ class TestBatch:
         with pytest.raises(ValueError, match="batch of 2"):
             grads.to_csv(tmp_path / "g.csv")
         assert not (tmp_path / "g.csv").exists()
+
+
+class TestPerRowParams:
+    """A batched sweep with one Params per row against each row's own sweep."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT64], ids=str)
+    @pytest.mark.parametrize("policy", ["none", "safe"])
+    def test_each_row_is_its_own_backward(self, scheme, fmt, policy):
+        field, params, xs = per_row_problem(3)
+        grid = TimeGrid.uniform(1.0, 6)
+        args = (terminal_objective(), ScalingPolicy.from_name(policy), fmt, high_format(fmt))
+        traj = forward(scheme, field, xs, grid, params, fmt, high_format(fmt))
+        grads = backward(scheme, field, traj, params, *args)
+        assert grads.d_theta.shape == (3, field.dim_params)
+        for r, x in enumerate(xs):
+            alone = forward(scheme, field, x, grid, params[r], fmt, high_format(fmt))
+            want = backward(scheme, field, alone, params[r], *args)
+            assert grads.d_x[r].tobytes() == want.d_x.tobytes()
+            assert grads.d_theta[r].tobytes() == want.d_theta.tobytes()
+            assert grads.d_t[:, r].tobytes() == want.d_t.tobytes()
+        assert np.isfinite(grads.d_theta).all()  # so `safe` took no early exit
+
+    @pytest.mark.parametrize(
+        "rows, count", [(3, 2), (3, 4), (None, 2)], ids=["too-few", "too-many", "one-state"]
+    )
+    def test_count_checked_before_any_work(self, rows, count):
+        field, params, xs = per_row_problem(4)
+        x = xs[0] if rows is None else xs[:rows]
+        traj = forward(Scheme.EULER, field, x, TimeGrid.uniform(1.0, 2), params[0], FLOAT16, FLOAT32)
+        evals = field.eval_count
+        with pytest.raises(ValueError, match="per-row parameters take one per row"):
+            backward(
+                Scheme.EULER, field, traj, params[:count], terminal_objective(),
+                ScalingPolicy.unscaled(), FLOAT16, FLOAT32,
+            )
+        assert field.eval_count == evals
 
 
 class ArrayDthetaPolyDecay(PolyDecayField):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
-from mpode.precision import FLOAT16, FLOAT64, RangeMonitor, quantize
+from mpode.precision import BFLOAT16, FLOAT16, FLOAT64, RangeMonitor, quantize
 
 
 def fd_field_vjp(field, t, y, theta, cotangent, eps=1e-6):
@@ -224,3 +224,30 @@ class TestMlpLayerSplit:
             pull(y)
         assert field.eval_count == 5
 
+
+
+class TestMlpPerRowParams:
+    """A `(B, n_params)` theta gives each row of a `(B, dim)` batch its own
+    parameters: every row's value and pullback are those of its own
+    evaluation with its own theta, bit for bit."""
+
+    @pytest.mark.parametrize("widths", [(2, 4, 2), (2, 16, 16, 2)], ids=str)
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT64], ids=str)
+    def test_each_row_is_its_own_evaluation(self, widths, fmt):
+        field, ys = MlpField(widths), STATES["batch"]
+        thetas = np.stack([field.init_params(seed).low(fmt) for seed in range(len(ys))])
+        cotangents = np.array([[1.0, -0.5], [2.0**-20, 3.0], [-0.75, 0.0]])
+        f, pull = field.linearize(0.3, ys, thetas, fmt)
+        v = pull(cotangents)
+        assert f.shape == (3, 2) and v.dt.shape == (3,)
+        assert v.dtheta.shape == (3, field.dim_params)
+        for r in range(len(ys)):
+            alone, alone_pull = MlpField(widths).linearize(0.3, ys[r], thetas[r].copy(), fmt)
+            w = alone_pull(cotangents[r])
+            assert f[r].tobytes() == alone.tobytes()
+            assert v.da[r].tobytes() == w.da.tobytes()
+            assert np.float64(v.dt[r]).tobytes() == np.float64(w.dt).tobytes()
+            assert v.dtheta[r].tobytes() == w.dtheta.tobytes()
+        # The rows' own parameters made a difference.
+        shared = field.eval(0.3, ys, thetas[0], fmt)
+        assert f[0].tobytes() == shared[0].tobytes() and f[1].tobytes() != shared[1].tobytes()

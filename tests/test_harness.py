@@ -588,6 +588,82 @@ class TestSgdTeacherBlocks:
         assert (tmp_path / "sgd.csv").read_text() == want
 
 
+def sgd_solves(monkeypatch):
+    """Record run_sgd_demo's solves in call order: (kind, rows) per forward,
+    kind `teacher`, `loss` (per-row parameters) or `train`, and `backward`."""
+    calls = []
+    real_forward, real_backward = runners.forward, runners.backward
+
+    def forward_spy(scheme, field, x, grid, params, *args):
+        kind = "teacher" if isinstance(field, LinearField) else "train"
+        calls.append(("loss" if isinstance(params, list) else kind, len(x)))
+        return real_forward(scheme, field, x, grid, params, *args)
+
+    def backward_spy(scheme, field, traj, *args):
+        calls.append(("backward", traj.states.shape[1]))
+        return real_backward(scheme, field, traj, *args)
+
+    monkeypatch.setattr(runners, "forward", forward_spy)
+    monkeypatch.setattr(runners, "backward", backward_spy)
+    return calls
+
+
+class TestSgdLossBlocks:
+    """The demo's float64 losses wait with their weights and are solved in
+    one batched forward per block, one parameter set per row."""
+
+    def test_solve_counts_of_the_benchmark_run(self, monkeypatch):
+        calls = sgd_solves(monkeypatch)
+        run_sgd_demo(ExperimentConfig(fmt="float16", seed=0, steps=30))
+        training = [("train", 4), ("backward", 4)] * 30
+        assert calls == [("teacher", 16 + 30 * 4), *training, ("loss", 30 * 4 + 16)]
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            # 6 minibatches, then 3 and no room for the probes
+            (ExperimentConfig(fmt="float16", seed=2, steps=9), [24, 12, 16]),
+            # 8 minibatches of 3, then 2 with the probes
+            (ExperimentConfig(fmt="float64", seed=6, steps=10, batch=3), [24, 22]),
+            # a minibatch larger than a block is solved alone
+            (ExperimentConfig(fmt="bfloat16", seed=4, steps=2, batch=30), [30, 30, 16]),
+        ],
+        ids=["float16", "float64", "minibatch-over-a-block"],
+    )
+    def test_blocks_give_the_row_loop_csv(self, monkeypatch, tmp_path, config, sizes):
+        monkeypatch.setattr(runners, "TEACHER_BLOCK_ROWS", 24)
+        want = row_loop_sgd_csv(config)
+        calls = sgd_solves(monkeypatch)
+        config.out = str(tmp_path / "sgd.csv")
+        run_sgd_demo(config)
+        assert [rows for kind, rows in calls if kind == "loss"] == sizes
+        assert (tmp_path / "sgd.csv").read_text() == want
+
+
+class TestOutDirectoryChecked:
+    """An `out` in a missing directory fails before the first solve, with the
+    FileNotFoundError that writing it would raise."""
+
+    @pytest.mark.parametrize(
+        "run, config, written",
+        [
+            (run_table, ExperimentConfig(n=4), "out"),
+            (run_sweep, ExperimentConfig(**runners.SWEEP_PRESETS["mlp"], n=[4]), "out"),
+            (run_sgd_demo, ExperimentConfig(steps=1), "out"),
+            (run_solve, ExperimentConfig(n=4), "out_trajectory.csv"),
+        ],
+        ids=["table", "sweep", "sgd-demo", "solve"],
+    )
+    def test_no_solve_runs(self, monkeypatch, tmp_path, run, config, written):
+        solves = []
+        monkeypatch.setattr(runners, "forward", lambda *a: solves.append(a))
+        config.out = str(tmp_path / "missing" / "out")
+        with pytest.raises(FileNotFoundError) as info:
+            run(config)
+        assert info.value.filename == str(tmp_path / "missing" / written)
+        assert not solves
+
+
 class TestRunSolve:
     def test_writes_both_csvs(self, tmp_path):
         config = ExperimentConfig(
@@ -827,6 +903,17 @@ class TestCli:
         result = CliRunner().invoke(main, ["sgd-demo", "--steps", "2", *args, "--out", str(out)])
         assert result.exit_code == 1
         assert result.output == message
+        assert not out.exists()
+
+    def test_sgd_demo_loss_blow_up_fails_in_one_line(self, tmp_path):
+        # The weights blow up after one step, and the float64 loss with them.
+        out = tmp_path / "sgd.csv"
+        result = CliRunner().invoke(
+            main, ["sgd-demo", "--lr", "1e300", "--steps", "5", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: non-finite state after step 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("steps", ["0", "-1"])

@@ -353,3 +353,35 @@ class TestBatch:
         with pytest.raises(ValueError, match="batch of 3"):
             traj.to_csv(tmp_path / "t.csv")
         assert not (tmp_path / "t.csv").exists()
+
+
+def per_row_problem(batch):
+    """A batched MlpField problem with its own parameters for every row."""
+    field, _, xs = batch_problem("mlp", batch)
+    return field, [field.init_params(seed) for seed in range(batch)], xs
+
+
+class TestPerRowParams:
+    """A sequence of B Params gives each row of a (B, dim) batch its own."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT64], ids=str)
+    def test_each_row_is_its_own_forward(self, scheme, fmt):
+        field, params, xs = per_row_problem(3)
+        grid = TimeGrid.uniform(1.0, 6)
+        traj = forward(scheme, field, xs, grid, params, fmt, high_format(fmt))
+        assert traj.states.shape == (7, 3, 2)
+        for r, x in enumerate(xs):
+            alone = forward(scheme, field, x, grid, params[r], fmt, high_format(fmt))
+            assert traj.states[:, r].tobytes() == alone.states.tobytes()
+            assert traj.final_hp[r].tobytes() == alone.final_hp.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, count", [(3, 2), (3, 4), (None, 2)], ids=["too-few", "too-many", "one-state"]
+    )
+    def test_count_checked_before_any_work(self, rows, count):
+        field, params, xs = per_row_problem(4)
+        x = xs[0] if rows is None else xs[:rows]
+        with pytest.raises(ValueError, match="per-row parameters take one per row"):
+            forward(Scheme.EULER, field, x, TimeGrid.uniform(1.0, 2), params[:count], FLOAT16, FLOAT32)
+        assert field.eval_count == 0

@@ -2,8 +2,8 @@
 
 Every runner consumes an ExperimentConfig and emits deterministic CSV, so
 each reported row can be reproduced by calling forward/backward directly
-with the row's parameters.  An `out` in a missing directory raises the
-FileNotFoundError that writing it would, before the first solve.
+with the row's parameters.  An `out` whose directory is missing or a file
+raises the error that writing it would, before the first solve.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import errno
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -291,10 +292,17 @@ def _terminal_objective() -> Objective:
 
 
 def _check_out(path: str | Path | None) -> None:
-    """Raise the FileNotFoundError that writing `path` would, if it is set
-    and its directory is missing; the runners call it before their first solve."""
-    if path and not Path(path).parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    """Raise the FileNotFoundError or NotADirectoryError that writing `path`
+    would, if it is set and its directory is missing or not a directory;
+    the runners call it before their first solve."""
+    if not path:
+        return
+    try:
+        mode = os.stat(Path(path).parent).st_mode
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    if not stat.S_ISDIR(mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
 
 
 def _high_format(fmt_low: FloatFormat) -> FloatFormat:

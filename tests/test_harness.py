@@ -663,6 +663,16 @@ class TestOutDirectoryChecked:
         assert info.value.filename == str(tmp_path / "missing" / written)
         assert not solves
 
+    def test_file_in_place_of_the_directory(self, monkeypatch, tmp_path):
+        solves = []
+        monkeypatch.setattr(runners, "forward", lambda *a: solves.append(a))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sgd.csv"
+        with pytest.raises(NotADirectoryError) as info:
+            run_sgd_demo(ExperimentConfig(steps=1, out=str(out)))
+        assert info.value.filename == str(out)
+        assert not solves
+
 
 class TestRunSolve:
     def test_writes_both_csvs(self, tmp_path):

@@ -523,8 +523,8 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     them over TEACHER_BLOCK_ROWS rows, and once at the end together with
     the probe set for final_loss.  Every row is bit-identical to its own
     solve, and each loss sums its rows in order.
-    A bad config value raises ConfigError, and an `out` in a missing
-    directory FileNotFoundError, before anything runs.  A float64 loss
+    A bad config value raises ConfigError, and an `out` whose directory
+    is missing or a file the error writing it would, before anything runs.  A float64 loss
     solve that blows up (a learning rate so large that the weights do)
     raises NonFiniteState when its block is solved.
     """

@@ -83,13 +83,12 @@ Pullback = Callable[..., FieldVjp]
 class VelocityField(abc.ABC):
     """f(t, y, theta) with a recorded-activation reverse sweep.
 
-    Each field has one forward pass, `_linearize`; `eval` is its value
-    without the pullback.  `eval_count` counts field evaluations (eval and
-    linearize both count, pullback calls do not); it exists so callers can
-    assert evaluation budgets, and is the one piece of mutable state on a
-    field that callers see.  A field may also cache work that depends on
-    theta alone (`MlpField` keeps its last layer split); a cache changes no
-    result.
+    Each field has one forward pass, `_linearize`.  `eval_count` counts
+    field evaluations (each `linearize` call counts, pullback calls do not);
+    it exists so callers can assert evaluation budgets, and is the one piece
+    of mutable state on a field that callers see.  A field may also cache
+    work that depends on theta alone (`MlpField` keeps its last layer
+    split); a cache changes no result.
     """
 
     dim_state: int
@@ -98,19 +97,11 @@ class VelocityField(abc.ABC):
     def __init__(self) -> None:
         self.eval_count = 0
 
-    def eval(self, t, y, theta, fmt, monitor=None) -> np.ndarray:
-        self.eval_count += 1
-        return self._eval(t, y, theta, fmt, monitor)
-
     def linearize(self, t, y, theta, fmt, monitor=None) -> tuple[np.ndarray, Pullback]:
         self.eval_count += 1
         return self._linearize(t, y, theta, fmt, monitor)
 
-    def vjp(self, t, y, theta, cotangent, fmt, monitor=None) -> FieldVjp:
-        """One-shot reverse sweep; recomputes activations from the inputs."""
-        _, pull = self.linearize(t, y, theta, fmt, monitor)
-        return pull(cotangent, monitor)
-
+    # Called by nothing in mpode; kept because perfbench/spans.py wraps `cls._eval`.
     def _eval(self, t, y, theta, fmt, monitor) -> np.ndarray:
         return self._linearize(t, y, theta, fmt, monitor)[0]
 

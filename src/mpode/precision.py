@@ -38,11 +38,11 @@ Rounding is monotone and min_normal and max_finite are representable, so
 such a value stays in the normal range, has no range event, and returns at
 once: a monitor is consulted only for the rest.  A float zero rounds to
 itself, keeps its sign and is no range event, so it returns right after
-that test.  `add`, `sub`, `mul` and a `dot` of two floats round a float
-result in that range, or return a zero, in their own frame with the same
-operations and call `quantize` for anything else, so a rounded float op
-is one Python call, monitored or not.  A `dot` of two or more terms in
-float16, float32 or float64 rounds (or, in float64, keeps)
+that test.  `add`, `sub` and `mul` round a float result in that range,
+or return a zero, in their own frame with the same operations and call
+`quantize` for anything else, so a rounded float op is one Python call,
+monitored or not; a `dot` of two floats is a `mul`.  A `dot` of two or
+more terms in float16, float32 or float64 rounds (or, in float64, keeps)
 its products and partial sums in its own frame with no `quantize` call;
 bfloat16 and one-term `dot`s call it.  A float64 array takes the numpy
 cast where the format has a native dtype.  Other inputs take
@@ -413,19 +413,8 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     1-D inputs give a float; inputs with leading axes give a float64 array.
     Two floats give their rounded product, the one-term sum it is.
     """
-    if isinstance(a, float) and isinstance(b, float):  # `mul`'s body, in this frame
-        x = a * b
-        if type(x) is float:
-            split = fmt._split
-            if split is None:
-                return x
-            tiny, top, splitter = split
-            if tiny <= abs(x) <= top:
-                g = splitter * x
-                return g + (x - g)
-            if x == 0.0:
-                return x
-        return quantize(x, fmt, monitor)
+    if isinstance(a, float) and isinstance(b, float):
+        return mul(a, b, fmt, monitor)
     raw = np.multiply(a, b, dtype=np.float64)  # casts only what is not float64
     if raw.ndim == 0:  # two 0-d inputs multiply to a numpy scalar
         raw = raw.reshape(1)

@@ -375,7 +375,7 @@ def _solve(
             kind = "exhausted-rescale" if isinstance(out, ExhaustedRescale) else "non-finite-accumulator"
             outcomes.append((traj, None, f"{kind}-at-{out.step}"))
         else:
-            finite = np.isfinite(out.d_x).all() and np.isfinite(out.d_theta).all()
+            finite = all(np.isfinite(g).all() for g in (out.d_x, out.d_theta, out.d_t))
             outcomes.append((traj, out, "ok" if finite else "non-finite-gradient"))
     return outcomes
 
@@ -481,29 +481,10 @@ def _spiral_teacher() -> LinearField:
     return LinearField(np.array([[-0.2, 1.0], [-1.0, -0.2]]))
 
 
-# Rows of one batched teacher solve in the SGD demo, so the teacher's memory
-# does not grow with `steps`; 16 probes plus 30 minibatches of 4 fit in one.
+# Rows of one float64 solve in the SGD demo, so the teacher's and the losses'
+# memory does not grow with `steps`: a block holds the whole minibatches that
+# fit with the 16 probes; 30 minibatches of 4 fit in one.
 TEACHER_BLOCK_ROWS = 512
-
-
-def _solved_minibatches(solve, lead: np.ndarray, rng, steps: int, batch: int):
-    """Yield `solve(lead)`, then (xs, targets) of each of `steps` minibatches.
-
-    The minibatches' rows are standard normal draws from `rng`, in
-    iteration order.  `solve` gets blocks of whole minibatches that fit in
-    TEACHER_BLOCK_ROWS rows with `lead`, which joins the first block (a
-    block holds at least one minibatch); a block is drawn when the one
-    before it is used up.
-    """
-    per_block = max(1, (TEACHER_BLOCK_ROWS - len(lead)) // batch)
-    for start in range(0, steps, per_block):
-        xs = rng.standard_normal((min(per_block, steps - start) * batch, lead.shape[-1]))
-        targets = solve(np.concatenate([lead, xs]) if start == 0 else xs)
-        if start == 0:
-            yield targets[: len(lead)].copy()
-            targets = targets[len(lead) :]
-        for j in range(0, len(xs), batch):
-            yield xs[j : j + batch], targets[j : j + batch]
 
 
 def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
@@ -513,16 +494,16 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     task is exactly representable by the discrete training objective. The
     training pass runs in config.fmt with loss scaling and the UnscaledSafe
     backward; the reported loss is always evaluated in float64 on the master
-    weights.  The teacher does not depend on training: it solves the probe
-    set and the minibatches, drawn ahead in the training stream's order, in
-    one batched solve per block of at most TEACHER_BLOCK_ROWS rows.  Each
-    minibatch then trains in one batched forward and one backward.  Nor
-    does training read the losses: each iteration's minibatch waits with
-    its weights, and the waiting ones are solved in one float64 forward,
-    with one parameter set per row, when the next minibatch would take
-    them over TEACHER_BLOCK_ROWS rows, and once at the end together with
-    the probe set for final_loss.  Every row is bit-identical to its own
-    solve, and each loss sums its rows in order.
+    weights.  Neither the teacher nor the losses feed training, so the demo
+    runs in blocks of as many whole minibatches as fit in TEACHER_BLOCK_ROWS
+    rows with the probe set (at least one).  A block draws its minibatches
+    from the training stream in order and solves their targets in one
+    float64 forward (the first block with the probe set's), trains each
+    minibatch in one batched forward and one backward, then solves its
+    losses in one float64 forward with one parameter set per row (the last
+    block adds the probe set at the final weights for final_loss).  Every
+    row is bit-identical to its own solve, and each loss sums its rows in
+    order; a loss too large for float64 is inf.
     A bad config value raises ConfigError, and an `out` whose directory
     is missing or a file the error writing it would, before anything runs.  A float64 loss
     solve that blows up (a learning rate so large that the weights do)
@@ -539,31 +520,8 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
     rng = np.random.default_rng(seed + 1)
     policy = ScalingPolicy.unscaled_safe()
 
-    def teacher_targets(xs: np.ndarray) -> np.ndarray:
-        return forward(scheme, teacher, xs, grid, None, FLOAT64, FLOAT64).states[-1]
-
-    # (params, xs, targets) of each loss not yet solved, and the losses
-    # solved so far, in iteration order.
-    queue: list[tuple[Params, np.ndarray, np.ndarray]] = []
-    losses: list[float] = []
-
-    def solve_losses() -> None:
-        xs = np.concatenate([q_xs for _, q_xs, _ in queue])
-        per_row = [p for p, q_xs, _ in queue for _ in range(len(q_xs))]
-        final = forward(scheme, student, xs, grid, per_row, FLOAT64, FLOAT64).states[-1]
-        pos = 0
-        for _, q_xs, targets in queue:
-            total = 0.0
-            for y, target in zip(final[pos : pos + len(q_xs)], targets):
-                total += 0.5 * float(np.sum((y - target) ** 2))
-            losses.append(total / len(q_xs))
-            pos += len(q_xs)
-        queue.clear()
-
-    def queue_loss(p: Params, xs: np.ndarray, targets: np.ndarray) -> None:
-        if queue and sum(len(q_xs) for _, q_xs, _ in queue) + len(xs) > TEACHER_BLOCK_ROWS:
-            solve_losses()
-        queue.append((p, xs, targets))
+    def terminal_states(field: VelocityField, xs: np.ndarray, weights) -> np.ndarray:
+        return forward(scheme, field, xs, grid, weights, FLOAT64, FLOAT64).states[-1]
 
     def scaled_batch_grad(p: Params, scale: float, fmt: FloatFormat, xs, targets) -> np.ndarray:
         objective = Objective(
@@ -583,28 +541,47 @@ def run_sgd_demo(config: ExperimentConfig) -> SgdDemoResult:
 
     # Fixed probe set, independent of the training stream: final_loss is
     # deterministic and comparable across formats run with the same seed.
-    # `rng` feeds only the minibatches, so drawing them ahead keeps its order.
+    # `rng` feeds only the minibatches, so drawing a block ahead keeps its order.
     probe_xs = np.random.default_rng(seed + 2).standard_normal((16, student.dim_state))
-    minibatches = _solved_minibatches(teacher_targets, probe_xs, rng, steps, batch)
-    probe_targets = next(minibatches)
-
+    per_block = max(1, (TEACHER_BLOCK_ROWS - len(probe_xs)) // batch)
+    losses = []  # the float64 loss of each iteration, then final_loss
     trained = []  # (loss_scale, accepted) after each iteration
     streak = 0
-    for xs, targets in minibatches:
-        queue_loss(params, xs, targets)
-        result = sgd_step(
-            params,
-            lambda p, s, f: scaled_batch_grad(p, s, f, xs, targets),
-            lr=lr,
-            loss_scale=loss_scale,
-            weight_decay=weight_decay,
-            fmt_low=fmt_low,
-            streak=streak,
-        )
-        params, loss_scale, streak = result.params, result.loss_scale, result.streak
-        trained.append((loss_scale, result.accepted))
-    queue_loss(params, probe_xs, probe_targets)
-    solve_losses()
+    for start in range(0, steps, per_block):
+        count = min(per_block, steps - start)
+        xs = rng.standard_normal((count * batch, student.dim_state))
+        targets = terminal_states(teacher, np.concatenate([probe_xs, xs]) if start == 0 else xs, None)
+        if start == 0:
+            probe_targets, targets = targets[: len(probe_xs)], targets[len(probe_xs) :]
+        weights = []  # the master weights of each row's loss
+        for j in range(0, len(xs), batch):
+            minibatch = slice(j, j + batch)
+            weights += [params] * batch
+            result = sgd_step(
+                params,
+                lambda p, s, f: scaled_batch_grad(p, s, f, xs[minibatch], targets[minibatch]),
+                lr=lr,
+                loss_scale=loss_scale,
+                weight_decay=weight_decay,
+                fmt_low=fmt_low,
+                streak=streak,
+            )
+            params, loss_scale, streak = result.params, result.loss_scale, result.streak
+            trained.append((loss_scale, result.accepted))
+        sizes = [batch] * count
+        if start + count == steps:
+            xs, targets = np.concatenate([xs, probe_xs]), np.concatenate([targets, probe_targets])
+            weights += [params] * len(probe_xs)
+            sizes.append(len(probe_xs))
+        final = terminal_states(student, xs, weights)
+        pos = 0
+        with np.errstate(over="ignore"):  # a diverged run's loss is inf
+            for size in sizes:
+                total = 0.0
+                for y, target in zip(final[pos : pos + size], targets[pos : pos + size]):
+                    total += 0.5 * float(np.sum((y - target) ** 2))
+                losses.append(total / size)
+                pos += size
     *trace, final_loss = losses
     rows = [(it, loss, *after) for it, (loss, after) in enumerate(zip(trace, trained))]
     result = SgdDemoResult(rows, final_loss, params)

@@ -7,11 +7,17 @@ from mpode.dynamics import LinearField, MlpField, Params, PolyDecayField
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT64, RangeMonitor, quantize
 
 
+def pullback(field, t, y, theta, cotangent, fmt):
+    """The pullback of `cotangent` through a fresh `linearize`."""
+    _, pull = field.linearize(t, y, theta, fmt)
+    return pull(cotangent)
+
+
 def fd_field_vjp(field, t, y, theta, cotangent, eps=1e-6):
     """Central differences of cotangent . f for an independent comparison."""
 
     def val(tv, yv, thv):
-        return float(np.dot(cotangent, field.eval(tv, yv, thv, FLOAT64)))
+        return float(np.dot(cotangent, field.linearize(tv, yv, thv, FLOAT64)[0]))
 
     da = np.array([
         (val(t, y + eps * e, theta) - val(t, y - eps * e, theta)) / (2 * eps)
@@ -48,13 +54,13 @@ class TestPolyDecay:
         field = PolyDecayField()
         theta = quantize(np.array([8.0, -11.0, 2.0**-16]), FLOAT16)
         y = np.array([quantize(65504.0 / 180.0, FLOAT16)])
-        f = field.eval(0.0, y, theta, FLOAT16)
+        f = field.linearize(0.0, y, theta, FLOAT16)[0]
         assert f[0] == -0.00555419921875
 
     def test_vjp_closed_form(self):
         field = PolyDecayField()
         theta = np.array([0.0, 0.0, 0.25])
-        out = field.vjp(0.5, np.array([2.0]), theta, np.array([1.0]), FLOAT64)
+        out = pullback(field, 0.5, np.array([2.0]), theta, np.array([1.0]), FLOAT64)
         assert out.da[0] == -0.25  # -lambda
         assert out.dt == 0.0  # -(2*th1*t + th2)*y with th1 = th2 = 0
         assert np.array_equal(out.dtheta, [-0.5, -1.0, -2.0])  # -(t^2, t, 1)*y
@@ -64,7 +70,7 @@ class TestPolyDecay:
         theta = np.array([0.4, -1.1, 0.9])
         y = np.array([0.7])
         c = np.array([1.3])
-        out = field.vjp(0.8, y, theta, c, FLOAT64)
+        out = pullback(field, 0.8, y, theta, c, FLOAT64)
         da, dt, dtheta = fd_field_vjp(field, 0.8, y, theta, c)
         assert np.allclose(out.da, da, rtol=1e-8)
         assert np.isclose(out.dt, dt, rtol=1e-7, atol=1e-9)
@@ -72,7 +78,8 @@ class TestPolyDecay:
 
     def test_zero_cotangent(self):
         field = PolyDecayField()
-        out = field.vjp(0.5, np.array([2.0]), np.array([1.0, 2.0, 3.0]), np.zeros(1), FLOAT16)
+        theta = np.array([1.0, 2.0, 3.0])
+        out = pullback(field, 0.5, np.array([2.0]), theta, np.zeros(1), FLOAT16)
         assert out.da[0] == 0.0 and out.dt == 0.0 and not out.dtheta.any()
 
     def test_parameter_forms_give_the_same_bits(self):
@@ -105,7 +112,7 @@ class TestPolyDecay:
 class TestLinearField:
     def test_eval(self):
         field = LinearField([[0.0, 1.0], [-1.0, 0.0]])
-        f = field.eval(0.0, np.array([1.0, 2.0]), np.zeros(0), FLOAT64)
+        f = field.linearize(0.0, np.array([1.0, 2.0]), np.zeros(0), FLOAT64)[0]
         assert np.array_equal(f, [2.0, -1.0])
         assert field.dim_params == 0
 
@@ -113,7 +120,7 @@ class TestLinearField:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         field = LinearField(a)
         c = np.array([1.0, -1.0])
-        out = field.vjp(0.0, np.array([0.5, 0.25]), np.zeros(0), c, FLOAT64)
+        out = pullback(field, 0.0, np.array([0.5, 0.25]), np.zeros(0), c, FLOAT64)
         assert np.allclose(out.da, a.T @ c)
         assert out.dt == 0.0 and out.dtheta.size == 0
 
@@ -145,7 +152,7 @@ class TestMlpField:
         theta = field.init_params(5).master
         y = rng.standard_normal(2)
         c = rng.standard_normal(2)
-        out = field.vjp(0.3, y, theta, c, FLOAT64)
+        out = pullback(field, 0.3, y, theta, c, FLOAT64)
         da, dt, dtheta = fd_field_vjp(field, 0.3, y, theta, c)
         assert np.allclose(out.da, da, rtol=1e-6, atol=1e-9)
         assert np.isclose(out.dt, dt, rtol=1e-6, atol=1e-9)
@@ -217,8 +224,8 @@ class TestMlpLayerSplit:
         theta = field.init_params(0).master
         y = STATES["one"]
         pulls = [field.linearize(0.1, y, theta, FLOAT16)[1] for _ in range(3)]
-        field.eval(0.1, y, theta, FLOAT16)
-        field.vjp(0.1, y, theta.copy(), y, FLOAT16)
+        field.linearize(0.1, y, theta, FLOAT16)
+        pullback(field, 0.1, y, theta.copy(), y, FLOAT16)
         assert field.eval_count == 5
         for pull in pulls:
             pull(y)
@@ -249,5 +256,5 @@ class TestMlpPerRowParams:
             assert np.float64(v.dt[r]).tobytes() == np.float64(w.dt).tobytes()
             assert v.dtheta[r].tobytes() == w.dtheta.tobytes()
         # The rows' own parameters made a difference.
-        shared = field.eval(0.3, ys, thetas[0], fmt)
+        shared = field.linearize(0.3, ys, thetas[0], fmt)[0]
         assert f[0].tobytes() == shared[0].tobytes() and f[1].tobytes() != shared[1].tobytes()

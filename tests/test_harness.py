@@ -541,15 +541,16 @@ class TestSgdTeacherBlocks:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_targets_equal_per_minibatch_solves(self, monkeypatch, seed):
-        stream = []
-        real = runners._solved_minibatches
+        solved = []  # (rows, terminal states) of each teacher solve
+        real = runners.forward
 
-        def recording(*args):
-            for item in real(*args):
-                stream.append(item)
-                yield item
+        def spy(scheme, field, x, *args):
+            traj = real(scheme, field, x, *args)
+            if isinstance(field, LinearField):
+                solved.append((x.copy(), traj.states[-1].copy()))
+            return traj
 
-        monkeypatch.setattr(runners, "_solved_minibatches", recording)
+        monkeypatch.setattr(runners, "forward", spy)
         config = ExperimentConfig(fmt="float16", seed=seed, steps=30)
         run_sgd_demo(config)
         grid, teacher = TimeGrid.uniform(1.0, 16), runners._spiral_teacher()
@@ -557,16 +558,18 @@ class TestSgdTeacherBlocks:
         def solve(xs):
             return forward(Scheme.EULER, teacher, xs, grid, None, FLOAT64, FLOAT64).states[-1]
 
-        probe_targets, *minibatches = stream
+        xs = np.concatenate([x for x, _ in solved])
+        targets = np.concatenate([t for _, t in solved])
         probe_rng = np.random.default_rng(seed + 2)
         probe_xs = np.array([probe_rng.standard_normal(2) for _ in range(16)])
-        assert probe_targets.tobytes() == solve(probe_xs).tobytes()
-        assert len(minibatches) == config.steps
+        assert xs[:16].tobytes() == probe_xs.tobytes()
+        assert targets[:16].tobytes() == solve(probe_xs).tobytes()
+        assert len(xs) == 16 + config.steps * config.batch
         rng = np.random.default_rng(seed + 1)
-        for xs, targets in minibatches:
+        for j in range(16, len(xs), config.batch):
             want = np.array([rng.standard_normal(2) for _ in range(config.batch)])
-            assert xs.tobytes() == want.tobytes()
-            assert targets.tobytes() == solve(want).tobytes()
+            assert xs[j : j + config.batch].tobytes() == want.tobytes()
+            assert targets[j : j + config.batch].tobytes() == solve(want).tobytes()
 
     @pytest.mark.parametrize(
         "config, sizes",
@@ -609,8 +612,8 @@ def sgd_solves(monkeypatch):
 
 
 class TestSgdLossBlocks:
-    """The demo's float64 losses wait with their weights and are solved in
-    one batched forward per block, one parameter set per row."""
+    """The demo's float64 losses are solved in one batched forward per block,
+    after the block trains, with one parameter set per row."""
 
     def test_solve_counts_of_the_benchmark_run(self, monkeypatch):
         calls = sgd_solves(monkeypatch)
@@ -621,12 +624,12 @@ class TestSgdLossBlocks:
     @pytest.mark.parametrize(
         "config, sizes",
         [
-            # 6 minibatches, then 3 and no room for the probes
-            (ExperimentConfig(fmt="float16", seed=2, steps=9), [24, 12, 16]),
-            # 8 minibatches of 3, then 2 with the probes
-            (ExperimentConfig(fmt="float64", seed=6, steps=10, batch=3), [24, 22]),
-            # a minibatch larger than a block is solved alone
-            (ExperimentConfig(fmt="bfloat16", seed=4, steps=2, batch=30), [30, 30, 16]),
+            # the teacher's blocks of 2 minibatches, the last 1 with the probes
+            (ExperimentConfig(fmt="float16", seed=2, steps=9), [8, 8, 8, 8, 20]),
+            # blocks of 2 minibatches of 3, the last with the probes
+            (ExperimentConfig(fmt="float64", seed=6, steps=10, batch=3), [6, 6, 6, 6, 22]),
+            # a minibatch larger than a block is a block, the last with the probes
+            (ExperimentConfig(fmt="bfloat16", seed=4, steps=2, batch=30), [30, 46]),
         ],
         ids=["float16", "float64", "minibatch-over-a-block"],
     )
@@ -638,6 +641,12 @@ class TestSgdLossBlocks:
         run_sgd_demo(config)
         assert [rows for kind, rows in calls if kind == "loss"] == sizes
         assert (tmp_path / "sgd.csv").read_text() == want
+
+    def test_overflowing_loss_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sgd_demo(ExperimentConfig(fmt="float64", lr=1e10, steps=20))
+        assert math.isinf(result.rows[-1][1])
 
 
 class TestOutDirectoryChecked:
@@ -816,6 +825,22 @@ class TestCli:
         lines = (tmp_path / "sol_gradients.csv").read_text().splitlines()
         grads = dict(line.split(",") for line in lines[1:])
         assert not all(math.isfinite(float(grads[f"d_theta[{j}]"])) for j in range(3))
+
+    def test_solve_non_finite_time_gradient_fails_in_one_line(self, tmp_path):
+        # an unscaled float16 decay whose time gradient alone overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            'theta = [80.0, -11.0, 1.52587890625e-05]\nx0 = [300.0]\nt_final = 0.5\n'
+            f'n = 64\nfmt = "float16"\npolicy = "none"\nout = {tmp_path / "sol"}\n'
+        )
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == "Error: solve failed: non-finite-gradient"
+        assert len((tmp_path / "sol_trajectory.csv").read_text().splitlines()) == 66
+        lines = (tmp_path / "sol_gradients.csv").read_text().splitlines()
+        grads = {name: math.isfinite(float(v)) for name, v in (l.split(",") for l in lines[1:])}
+        assert all(ok for name, ok in grads.items() if not name.startswith("d_t["))
+        assert grads["d_t[38]"] is False
 
     def test_solve_forward_blowup_writes_partial_trajectory(self, tmp_path):
         cfg = tmp_path / "run.cfg"

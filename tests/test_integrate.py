@@ -88,7 +88,7 @@ class TestIncrement:
         theta = quantize(np.array([0.4, -1.1, 0.9]), FLOAT16)
         y = np.array([0.7])
         dy = increment(Scheme.EULER, field, y, 0.5, 0.1, theta, FLOAT16)
-        assert dy[0] == field.eval(0.5, y, theta, FLOAT16)[0]
+        assert dy[0] == field.linearize(0.5, y, theta, FLOAT16)[0][0]
 
     def test_rk4_single_step_bitwise(self):
         # exact float64 mirror of the stage and combination op order

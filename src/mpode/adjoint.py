@@ -16,7 +16,9 @@ of loss-scaled training.  Under `dynamic`:
   * on a non-finite pullback, halve S and retry on the same tape (no field
     re-evaluation), at most k_max attempts and never below s_floor;
   * after a step that needed no rescue, double S for the next step while
-    ||a||_inf stays at most 1/(2*u_low), checked after the update.
+    ||a||_inf stays at most 1/(2*u_low), checked after the update;
+  * S never exceeds the largest power of two for which the grid's smallest
+    step over S is a normal float64 (nor 2**1023).
 Every contribution is divided by the scale used, so the scale never changes
 the represented gradient, only which region of the format it flows through.
 Power-of-two scaling is exact while no quantization leaves the normal range,
@@ -52,7 +54,7 @@ import numpy as np
 
 from .dynamics import Params, VelocityField
 from .integrate import Scheme, Trajectory, _add_dtheta, _all_finite, _theta_low, build_step_tape, format_float
-from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub
+from .precision import FloatFormat, RangeMonitor, dot, quantize
 
 __all__ = [
     "RunningCost",
@@ -195,18 +197,20 @@ def _max_abs(a) -> float:
 
 
 def init_scale(a: float | np.ndarray, fmt: FloatFormat) -> float:
-    """Largest power of two with scale * ||a||_inf <= 1 / u_low.
+    """Largest power of two with scale * ||a||_inf <= 1 / u_low, at most 2**1023.
 
-    Returns 1.0 for a zero adjoint.  The result always satisfies
-    scale * ||a||_inf in (1/(2u), 1/u].
+    Returns 1.0 for a zero adjoint.  Below the cap the result satisfies
+    scale * ||a||_inf in (1/(2u), 1/u].  The exponent comes from ||a||_inf
+    itself, 1/u being 2**(mantissa_bits + 1), so a subnormal norm neither
+    underflows u * ||a||_inf nor overflows the scale.
     """
     norm = _max_abs(a)
     if norm == 0.0:
         return 1.0
     if not math.isfinite(norm):
         raise ValueError("adjoint seed is not finite")
-    f, e = math.frexp(fmt.unit_roundoff * norm)
-    return math.ldexp(1.0, (1 - e) if f == 0.5 else -e)
+    f, e = math.frexp(norm)
+    return math.ldexp(1.0, min(fmt.mantissa_bits + (2 if f == 0.5 else 1) - e, 1023))
 
 
 def backward(
@@ -273,7 +277,7 @@ def _lockstep(
             live = [k for k in live if outcomes[k] is None]
             if not live:  # at the latest once step 0 is swept
                 return outcomes
-        h = sub(float(t[i]), float(t[i - 1]), fmt_high)
+        h = quantize(float(t[i]) - float(t[i - 1]), fmt_high)
         step = h, build_step_tape(scheme, field, ys[i - 1], float(t[i - 1]), h, theta_low, fmt_low, monitor)
 
 
@@ -309,14 +313,14 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
         return r.item() if to_float else tuple(r.tolist())
 
     if running is not None:
-        a = add(a, mul(w[n], cost_partial(running.grad_y, n, True), fmt_high), fmt_high)
+        a = quantize(a + quantize(w[n] * cost_partial(running.grad_y, n, True), fmt_high), fmt_high)
         if running.grad_theta is not None:
             # The seed replaces the zero accumulator, so a -0.0 keeps its sign.
             rth = cost_partial(running.grad_theta, n, False)
             if one:
-                g = tuple([mul(w[n], q, fmt_high) for q in rth])
+                g = tuple([quantize(w[n] * q, fmt_high) for q in rth])
             else:
-                g = np.broadcast_to(mul(w[n], rth, fmt_high), g.shape).copy()
+                g = np.broadcast_to(quantize(w[n] * rth, fmt_high), g.shape).copy()
 
     if dynamic and not _all_finite(a):
         raise NonFiniteAccumulator(n)
@@ -324,7 +328,14 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
     f, _ = math.frexp(scale_multiplier)
     if scale_multiplier <= 0.0 or f != 0.5:
         raise ValueError("scale_multiplier must be a positive power of two")
-    scale = init_scale(a, fmt_low) * scale_multiplier if dynamic else 1.0
+    scale = 1.0
+    if dynamic:
+        # The scale stays at most the largest power of two that keeps the
+        # grid's smallest step over it a normal float64, so h / scale is
+        # exact; a float64 low format overflows nothing first, and doubling
+        # without a bound would reach inf.
+        max_scale = math.ldexp(1.0, min(math.frexp(float(np.min(np.diff(t))))[1] + 1021, 1023))
+        scale = min(init_scale(a, fmt_low) * scale_multiplier, max_scale)
 
     for i in range(n - 1, -1, -1):
         h, tape = yield
@@ -354,12 +365,13 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
         # exactly and rounded once on the way into the accumulator.
         hs = float(h) / scale
         phi_a = dot(tape.increment, a, fmt_high)
-        u = mul(hs, v.dt - v.dh, fmt_high)
-        tgrad[i] = sub(add(tgrad[i], u, fmt_high), phi_a, fmt_high)
-        tgrad[i + 1] = add(add(tgrad[i + 1], mul(hs, v.dh, fmt_high), fmt_high), phi_a, fmt_high)
+        u = quantize(hs * (v.dt - v.dh), fmt_high)
+        tgrad[i] = quantize(quantize(tgrad[i] + u, fmt_high) - phi_a, fmt_high)
+        u = quantize(hs * v.dh, fmt_high)
+        tgrad[i + 1] = quantize(quantize(tgrad[i + 1] + u, fmt_high) + phi_a, fmt_high)
         if running is not None:
-            a = add(a, mul(w[i], cost_partial(running.grad_y, i, True), fmt_high), fmt_high)
-        a = add(a, mul(hs, v.da, fmt_high), fmt_high)
+            a = quantize(a + quantize(w[i] * cost_partial(running.grad_y, i, True), fmt_high), fmt_high)
+        a = quantize(a + quantize(hs * v.da, fmt_high), fmt_high)
         if field.dim_params:
             g = _add_dtheta(g, v.dtheta, fmt_high, scale=hs)
         if running is not None and running.grad_theta is not None:
@@ -369,7 +381,7 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
             if not all(map(_all_finite, (a, g, tgrad[i], tgrad[i + 1]))):
                 raise NonFiniteAccumulator(i)
             # Doubling check runs on the freshly updated adjoint.
-            if attempts == 1 and _max_abs(a) <= 1.0 / (2.0 * fmt_low.unit_roundoff):
+            if attempts == 1 and scale < max_scale and _max_abs(a) <= 1.0 / (2.0 * fmt_low.unit_roundoff):
                 scale = 2.0 * scale
                 if trace is not None:
                     trace.doublings += 1

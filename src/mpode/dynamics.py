@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .precision import FloatFormat, RangeMonitor, add, dot, mul, quantize, sub, tanh
+from .precision import FloatFormat, dot, quantize, tanh
 
 __all__ = [
     "Params",
@@ -57,9 +57,9 @@ class Params:
         if not np.all(np.isfinite(self.master)):
             raise ValueError("master parameters must be finite")
 
-    def low(self, fmt: FloatFormat, monitor: RangeMonitor | None = None) -> np.ndarray:
+    def low(self, fmt: FloatFormat) -> np.ndarray:
         """Quantized view used by low-precision evaluation."""
-        return quantize(self.master, fmt, monitor)
+        return quantize(self.master, fmt)
 
     def __len__(self) -> int:
         return self.master.size
@@ -126,24 +126,24 @@ class PolyDecayField(VelocityField):
         th1, th2, th3 = np.asarray(theta, dtype=np.float64).tolist()
         y0 = float(y[0]) if lift else y
         tq = quantize(float(t), fmt, monitor)
-        t2 = mul(tq, tq, fmt, monitor)
-        p1 = mul(th1, t2, fmt, monitor)
-        p2 = mul(th2, tq, fmt, monitor)
-        s = add(p1, p2, fmt, monitor)
-        lam = add(s, th3, fmt, monitor)
-        f = -mul(lam, y0, fmt, monitor)
+        t2 = quantize(tq * tq, fmt, monitor)
+        p1 = quantize(th1 * t2, fmt, monitor)
+        p2 = quantize(th2 * tq, fmt, monitor)
+        s = quantize(p1 + p2, fmt, monitor)
+        lam = quantize(s + th3, fmt, monitor)
+        f = -quantize(lam * y0, fmt, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
             lift_c = not isinstance(cotangent, float)
             cm = -(float(cotangent[0]) if lift_c else cotangent)
-            c_lam = mul(cm, y0, fmt, monitor)
-            c_y = mul(cm, lam, fmt, monitor)
-            dth1 = mul(c_lam, t2, fmt, monitor)
-            dth2 = mul(c_lam, tq, fmt, monitor)
-            c_t2 = mul(c_lam, th1, fmt, monitor)
-            u = mul(c_t2, tq, fmt, monitor)
-            u = add(u, u, fmt, monitor)
-            dt = add(mul(c_lam, th2, fmt, monitor), u, fmt, monitor)
+            c_lam = quantize(cm * y0, fmt, monitor)
+            c_y = quantize(cm * lam, fmt, monitor)
+            dth1 = quantize(c_lam * t2, fmt, monitor)
+            dth2 = quantize(c_lam * tq, fmt, monitor)
+            c_t2 = quantize(c_lam * th1, fmt, monitor)
+            u = quantize(c_t2 * tq, fmt, monitor)
+            u = quantize(u + u, fmt, monitor)
+            dt = quantize(quantize(c_lam * th2, fmt, monitor) + u, fmt, monitor)
             if lift_c:
                 return FieldVjp(np.array([c_y]), dt, np.array([dth1, dth2, c_lam]))
             return FieldVjp(c_y, dt, (dth1, dth2, c_lam))
@@ -247,7 +247,7 @@ class MlpField(VelocityField):
         v0[..., -1] = quantize(float(t), fmt, monitor)
         vs = [v0]
         for l, (w, b) in enumerate(layers):
-            z = add(dot(w, vs[l][..., None, :], fmt, monitor), b, fmt, monitor)
+            z = quantize(dot(w, vs[l][..., None, :], fmt, monitor) + b, fmt, monitor)
             vs.append(tanh(z, fmt, monitor) if l < last else z)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
@@ -258,12 +258,12 @@ class MlpField(VelocityField):
                 w, _ = layers[l]
                 if l < last:
                     a = vs[l + 1]
-                    gate = sub(1.0, mul(a, a, fmt, monitor), fmt, monitor)
-                    c = mul(c, gate, fmt, monitor)
+                    gate = quantize(1.0 - quantize(a * a, fmt, monitor), fmt, monitor)
+                    c = quantize(c * gate, fmt, monitor)
                 out_d, in_d = self._shapes[l]
                 pos -= out_d
                 dtheta[..., pos : pos + out_d] = c
-                dw = mul(c[..., :, None], vs[l][..., None, :], fmt, monitor)
+                dw = quantize(c[..., :, None] * vs[l][..., None, :], fmt, monitor)
                 pos -= out_d * in_d
                 dtheta[..., pos : pos + out_d * in_d] = dw.reshape(*lead, -1)
                 c = dot(w.swapaxes(-1, -2), c[..., None, :], fmt, monitor)

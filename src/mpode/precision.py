@@ -22,39 +22,37 @@ Most inputs are tiny.  A solve with one state component runs on Python
 floats (`integrate` chooses that from the state's shape): every primitive
 takes a float and returns one, and `dot` of two floats is their rounded
 product.  What still arrives as an array is mostly a 2- to 9-element
-vector, and every numpy ufunc call costs 0.5-1 us whatever its size, so
-inputs of up to `_SMALL` elements are range-checked, and rounded where the
-format has no native dtype, one element at a time in plain Python.
+vector.
 
-`quantize` rounds the two common inputs in its own frame, from constants
-each format holds as plain attributes (`FloatFormat._split`, `_native`),
-and nothing it calls calls it back.  A float with min_normal <= |x| <= top
-(top is max_finite unless x * splitter could overflow) is rounded by
-Veltkamp splitting (Dekker, 1971; Boldo, "Pitfalls of a full
-floating-point proof", 2006):
+`quantize` is the one rounder.  The solve modules write each rounded op
+as `quantize` of its exact carrier value, `quantize(a + b, fmt, monitor)`,
+which is one Python call per op, monitored or not; `add`, `sub`, `mul`,
+`div`, `exp`, `tanh`, `absolute` and `maximum` are that same call in one
+line.  `quantize` rounds a float, and a float64 array in a format with a
+native dtype, in its own frame, from constants each format holds as plain
+attributes (`FloatFormat._split`, `_native`).  A float with
+min_normal <= |x| <= top (top is max_finite unless x * splitter could
+overflow) is rounded by Veltkamp splitting (Dekker, 1971; Boldo,
+"Pitfalls of a full floating-point proof", 2006):
 with g = splitter * x, splitter = 2**(52 - mantissa_bits) + 1, the float64
 sum g + (x - g) is x rounded to nearest even on mantissa_bits + 1 bits.
 Rounding is monotone and min_normal and max_finite are representable, so
 such a value stays in the normal range, has no range event, and returns at
 once: a monitor is consulted only for the rest.  A float zero rounds to
 itself, keeps its sign and is no range event, so it returns right after
-that test.  `add`, `sub` and `mul` round a float result in that range,
-or return a zero, in their own frame with the same operations and call
-`quantize` for anything else, so a rounded float op is one Python call,
-monitored or not; a `dot` of two floats is a `mul`.  A `dot` of two or
-more terms in float16, float32 or float64 rounds (or, in float64, keeps)
-its products and partial sums in its own frame with no `quantize` call;
-bfloat16 and one-term `dot`s call it.  A float64 array takes the numpy
-cast where the format has a native dtype.  Other inputs take
-`_quantize_other` under the same rules.  Other zeros, subnormals, values
-beyond +-top, infinities and NaN take the generic frexp/ldexp code, which
-sends a value that rounds past float64's largest to inf, as arrays do.
+that test.  Other floats (subnormals, values beyond +-top, infinities and
+NaN), other numbers (`np.float64`, int, bool, as their float) and arrays
+without a native dtype take the generic frexp/ldexp code, which sends a
+value that rounds past float64's largest to inf.  A `dot` of two or more
+terms in float16, float32 or float64 rounds (or, in float64, keeps) its
+products and partial sums in its own frame with no `quantize` call;
+bfloat16 and one-term `dot`s call it.
 
 A NaN keeps its sign through `quantize` on every path, so an op with one
-NaN operand returns a NaN of that sign.  An op of two NaNs (`add`, `sub`,
-`mul`, a `dot` of two floats) returns a NaN of unspecified sign: CPython's
-float add and multiply return either operand, depending on whether the
-interpreter has specialized the op's bytecode.
+NaN operand returns a NaN of that sign.  An op of two NaNs (a carrier sum
+or product, a `dot` of two floats) returns a NaN of unspecified sign:
+CPython's float add and multiply return either operand, depending on
+whether the interpreter has specialized the op's bytecode.
 """
 from __future__ import annotations
 
@@ -150,12 +148,10 @@ def get_format(name: str) -> FloatFormat:
         raise ValueError(f"unknown format {name!r}, expected one of {sorted(FORMATS)}") from None
 
 
-# Arrays of at most this many elements are range-checked, and rounded to
-# formats without a native dtype, element by element in Python.  Loop vs
-# numpy, in us, on a 2-vCPU x86 VM (Python 3.11, numpy 2.4): bfloat16
-# rounding 1.4 vs 9.2 at 1 element, 2.8 vs 9.1 at 8; observe 2.1 vs 13.0
-# at 1 element, 8.2 vs 13.4 at 32.  It also picks the float16 range and
-# finite checks of batched solves, so it stays where it was set.
+# `integrate` checks arrays of at most this many elements for finite values
+# one element at a time in Python, where `np.isfinite(x).all()` costs about
+# 2 us; that covers the float16 finite checks of batched solves too, so it
+# stays where it was set.
 _SMALL = 8
 
 
@@ -173,7 +169,7 @@ class RangeMonitor:
     nonzero float outside the range reaches it), a monitored native-dtype
     `dot` calls it only when a product or partial sum is outside the range
     (zeros included), and `observe` returns after one range check when
-    every rounded element of a larger array is in it.
+    every rounded element of an array is in it.
     """
 
     __slots__ = ("underflows", "overflows")
@@ -201,23 +197,15 @@ class RangeMonitor:
             elif mag < tiny and (mag > 0.0 or (raw != 0.0 and math.isfinite(raw))):
                 self.underflows += 1
             return
-        if rounded.size > _SMALL:
-            mag = np.abs(rounded)
-            if mag.min() >= tiny and mag.max() <= fmt.max_finite:  # NaN fails both
-                return
-            raw = np.asarray(raw)
-            finite_raw = np.isfinite(raw)
-            self.overflows += int(np.count_nonzero(np.isinf(rounded) & finite_raw))
-            sub = (mag < tiny) & ((mag > 0) | ((rounded == 0) & (raw != 0) & finite_raw))
-            self.underflows += int(np.count_nonzero(sub))
+        mag = np.abs(rounded)
+        big = fmt.max_finite
+        if mag.min(initial=tiny) >= tiny and mag.max(initial=big) <= big:  # NaN fails both
             return
-        for r, q in zip(np.ravel(raw).tolist(), rounded.ravel().tolist()):
-            mag = abs(q)
-            if mag == math.inf:
-                if math.isfinite(r):
-                    self.overflows += 1
-            elif mag < tiny and (mag > 0.0 or (r != 0.0 and math.isfinite(r))):
-                self.underflows += 1
+        raw = np.asarray(raw)
+        finite_raw = np.isfinite(raw)
+        self.overflows += int(np.count_nonzero(np.isinf(rounded) & finite_raw))
+        sub = (mag < tiny) & ((mag > 0) | ((rounded == 0) & (raw != 0) & finite_raw))
+        self.underflows += int(np.count_nonzero(sub))
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
@@ -238,35 +226,6 @@ def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
     return y
 
 
-def _quantize_other(x, fmt: FloatFormat):
-    """`quantize` of what its own two fast paths do not take, in a narrow format.
-
-    A number rounds as its float, and a small array without a native dtype
-    one float at a time, both with the split rounder `quantize` inlines.
-    """
-    tiny, top, splitter = fmt._split
-    if isinstance(x, (float, int)):
-        x = float(x)
-        return (g := splitter * x) + (x - g) if tiny <= abs(x) <= top else _quantize_scalar(x, fmt)
-    x = np.asarray(x, dtype=np.float64)
-    if fmt._native is not None:
-        return x.astype(fmt._native).astype(np.float64)
-    if x.size <= _SMALL:
-        out = [(g := splitter * v) + (v - g) if tiny <= abs(v) <= top else _quantize_scalar(v, fmt)
-               for v in x.ravel().tolist()]
-        return np.array(out).reshape(x.shape)
-    _, e = np.frexp(x)
-    shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
-    y = np.ldexp(np.rint(np.ldexp(x, -shift)), shift)
-    over = np.abs(y) > fmt.max_finite
-    if over.any():
-        y = np.where(over, np.copysign(np.inf, x), y)
-    zero = y == 0.0
-    if zero.any():
-        y = np.where(zero, np.copysign(0.0, x), y)
-    return y
-
-
 def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     """Round to the nearest value representable in `fmt`, ties to even.
 
@@ -281,8 +240,8 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
     the normal range.  So does a float zero, which rounds to itself: only
     a nonzero float outside the range reaches the monitor.  Only arrays
-    can warn: the float16/float32 cast and bfloat16 arrays over `_SMALL`
-    elements emit numpy's overflow `RuntimeWarning`, which solves silence
+    can warn: the float16/float32 cast and the generic code on bfloat16
+    arrays emit numpy's overflow `RuntimeWarning`, which solves silence
     and direct callers see.
     """
     split = fmt._split
@@ -296,65 +255,42 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
         if x == 0.0:  # rounds to itself, sign kept, and is no range event
             return x
         out = _quantize_scalar(x, fmt)
-    elif type(x) is np.ndarray and x.dtype is _FLOAT64 and fmt._native is not None:
-        out = x.astype(fmt._native).astype(np.float64)
+    elif isinstance(x, (float, int)):  # a number rounds as its float
+        out = _quantize_scalar(float(x), fmt)
     else:
-        out = _quantize_other(x, fmt)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=np.float64)
+        if fmt._native is not None:
+            out = x.astype(fmt._native).astype(np.float64)
+        else:  # the generic code, elementwise; `out=` keeps a 0-d array one
+            _, e = np.frexp(x)
+            shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
+            # np.rint keeps the sign of a zero, so only overflow needs fixing.
+            out = np.ldexp(np.rint(np.ldexp(x, -shift)), shift, out=np.empty_like(x))
+            over = np.abs(out) > fmt.max_finite
+            if over.any():
+                out = np.where(over, np.copysign(np.inf, x), out)
     if monitor is not None:
         monitor.observe(x, out, fmt)
     return out
 
 
-# add, sub and mul round a float result in the split rounder's range, and
-# return a float zero, in their own frame, as `quantize` would, and send
-# anything else to it.  The three bodies are copies: one body shared through `operator.add`, `sub`
-# and `mul` made the scalar decay table 4% faster, the copies 7% (2-vCPU
-# x86 VM, Python 3.11).
+# Each op is `quantize` of its exact carrier value.  The solve modules call
+# `quantize` on the same expression directly, which saves a Python frame
+# per op; these public names stay for other callers, and the benchmark's
+# tracer looks them up by name.
 
 
 def add(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    x = a + b
-    if type(x) is float:
-        split = fmt._split
-        if split is None:
-            return x
-        tiny, top, splitter = split
-        if tiny <= abs(x) <= top:
-            g = splitter * x
-            return g + (x - g)
-        if x == 0.0:
-            return x
-    return quantize(x, fmt, monitor)
+    return quantize(a + b, fmt, monitor)
 
 
 def sub(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    x = a - b
-    if type(x) is float:
-        split = fmt._split
-        if split is None:
-            return x
-        tiny, top, splitter = split
-        if tiny <= abs(x) <= top:
-            g = splitter * x
-            return g + (x - g)
-        if x == 0.0:
-            return x
-    return quantize(x, fmt, monitor)
+    return quantize(a - b, fmt, monitor)
 
 
 def mul(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    x = a * b
-    if type(x) is float:
-        split = fmt._split
-        if split is None:
-            return x
-        tiny, top, splitter = split
-        if tiny <= abs(x) <= top:
-            g = splitter * x
-            return g + (x - g)
-        if x == 0.0:
-            return x
-    return quantize(x, fmt, monitor)
+    return quantize(a * b, fmt, monitor)
 
 
 def div(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
@@ -414,7 +350,7 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     Two floats give their rounded product, the one-term sum it is.
     """
     if isinstance(a, float) and isinstance(b, float):
-        return mul(a, b, fmt, monitor)
+        return quantize(a * b, fmt, monitor)
     raw = np.multiply(a, b, dtype=np.float64)  # casts only what is not float64
     if raw.ndim == 0:  # two 0-d inputs multiply to a numpy scalar
         raw = raw.reshape(1)

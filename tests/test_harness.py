@@ -394,6 +394,17 @@ class TestRunSweep:
         assert all(math.isinf(e) for e in gerrs) == (status != "ok")
         assert math.isfinite(row.re_y)
 
+    def test_float64_dynamic_scale_stays_finite(self):
+        # A float64 low format overflows nothing, so the scale doubles after
+        # every step up to its cap; without one it ran to inf and every
+        # pullback failed (exhausted-rescale at N = 1024 and 2048).
+        config = ExperimentConfig(
+            **runners.SWEEP_PRESETS["polydecay"], n=[512, 1024, 2048], fmt="float64", policy="dynamic",
+        )
+        for row in run_sweep(config):
+            assert row.status == "ok", row
+            assert row.re_y == row.re_dy0 == row.re_dtheta1 == row.re_dtheta2 == row.re_dtheta3 == 0.0
+
     def test_forward_blowup_becomes_status_row(self):
         config = ExperimentConfig(
             field="linear", a_matrix=[[30.0]], x0=[10000.0], t_final=1.0,
@@ -841,6 +852,34 @@ class TestCli:
         grads = {name: math.isfinite(float(v)) for name, v in (l.split(",") for l in lines[1:])}
         assert all(ok for name, ok in grads.items() if not name.startswith("d_t["))
         assert grads["d_t[38]"] is False
+
+    def test_float64_dynamic_solve_matches_the_unscaled_one(self, tmp_path):
+        # 1200 doublings of the scale pass float64's range: capped, it keeps
+        # h / scale exact, and the gradients are those of the unscaled sweep.
+        grads = {}
+        for policy in ("dynamic", "none"):
+            cfg = tmp_path / f"{policy}.cfg"
+            cfg.write_text(
+                f'field = "linear"\nfmt = "float64"\npolicy = "{policy}"\nn = 1200\n'
+                f'out = {tmp_path / policy}\n'
+            )
+            result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            grads[policy] = (tmp_path / f"{policy}_gradients.csv").read_text()
+        assert grads["dynamic"] == grads["none"]
+
+    def test_float64_dynamic_solve_of_a_subnormal_scale_seed(self, tmp_path):
+        # The seed's scale would overflow 1 / (u * ||a||); it is capped at 2**1023.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            'field = "linear"\nfmt = "float64"\npolicy = "dynamic"\nx0 = [1e-300]\n'
+            f'out = {tmp_path / "sol"}\n'
+        )
+        result = CliRunner().invoke(main, ["solve", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        lines = (tmp_path / "sol_gradients.csv").read_text().splitlines()
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
 
     def test_solve_forward_blowup_writes_partial_trajectory(self, tmp_path):
         cfg = tmp_path / "run.cfg"

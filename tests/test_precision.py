@@ -19,11 +19,13 @@ from mpode.precision import (
     FLOAT64,
     FloatFormat,
     RangeMonitor,
+    absolute,
     add,
     div,
     dot,
     exp,
     get_format,
+    maximum,
     mul,
     quantize,
     sub,
@@ -736,8 +738,12 @@ class TestQuantizeDispatch:
         assert got_counts == [sum(c[j] for _, c in floats) for j in (0, 1)], fmt.name
 
 
+# Each op of two floats and its exact carrier value; division goes through
+# np.float64, where x / 0 is inf, as `div` does.
 _FLOAT_OPS = {"add": (add, operator.add), "sub": (sub, operator.sub), "mul": (mul, operator.mul),
-              "dot": (dot, operator.mul)}
+              "dot": (dot, operator.mul), "div": (div, lambda a, b: np.float64(a) / np.float64(b)),
+              "maximum": (maximum, np.maximum)}
+_UNARY_OPS = {"tanh": (tanh, np.tanh), "exp": (exp, np.exp), "absolute": (absolute, np.abs)}
 
 
 def _op_values(fmt, rng) -> list[float]:
@@ -751,12 +757,13 @@ def _op_values(fmt, rng) -> list[float]:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestFloatOps:
-    """`add`, `sub`, `mul` and `dot` of two floats round a float result in
-    their own frame, and `tanh` of a float takes `quantize`'s float path.
-    Each must give what `quantize` gives the same exact result in a
-    one-element array: bits, NaN sign and monitor counts.  An op of two
-    NaNs returns a NaN of unspecified sign (the `precision` module
-    docstring), so then only NaN is checked."""
+    """Each float op (`add`, `sub`, `mul`, `div`, `maximum`, `dot` of two
+    floats, and `tanh`, `exp` and `absolute` of one) is `quantize` of its
+    exact carrier value, which takes `quantize`'s float path.  Each must
+    give what `quantize` gives the same exact result in a one-element
+    array: bits, NaN sign and monitor counts.  An op of two NaNs returns a
+    NaN of unspecified sign (the `precision` module docstring), so then
+    only NaN is checked."""
 
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
     def test_ops_match_the_array_path(self, fmt):
@@ -785,21 +792,21 @@ class TestFloatOps:
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
     def test_tanh_matches_the_array_path(self, fmt):
         vals = _op_values(fmt, np.random.default_rng(13)) + [0.5, -2.0, 20.0, 1e-300]
-        for a in vals:
-            want, counts = _rounded(np.tanh(np.array([a])), fmt)
-            mon = RangeMonitor()
-            got = tanh(a, fmt, mon)
-            assert type(got) is float
-            assert _same_bits(got, want[0]) and np.signbit(got) == np.signbit(want[0]), (fmt.name, a)
-            assert [mon.underflows, mon.overflows] == counts, (fmt.name, a)
+        for name, (op, exact) in _UNARY_OPS.items():
+            for a in vals:
+                want, counts = _rounded(exact(np.array([a])), fmt)
+                mon = RangeMonitor()
+                got = op(a, fmt, mon)
+                assert type(got) is float and type(op(a, fmt)) is float, (name, fmt.name, a)
+                assert _same_bits(got, want[0]) and np.signbit(got) == np.signbit(want[0]), (name, fmt.name, a)
+                assert [mon.underflows, mon.overflows] == counts, (name, fmt.name, a)
 
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, E11M20], ids=lambda f: f.name)
     def test_only_values_outside_the_split_range_reach_quantize(self, fmt, monkeypatch):
-        # A float op whose exact result x has min_normal <= |x| <= top, or
-        # is zero, calls neither `quantize` nor the generic code nor the
-        # monitor; any other x takes one call of each (the monitor only
-        # when one is attached).  `tanh` always calls `quantize`, which
-        # returns before the rest.
+        # Every float op is one `quantize` call.  Where its exact result x
+        # has min_normal <= |x| <= top, or is zero, `quantize` returns
+        # before the generic code and the monitor; any other x takes one
+        # call of each (the monitor only when one is attached).
         calls = {"quantize": 0, "generic": 0, "observe": 0}
         real_quantize, generic, observe = quantize, precision._quantize_scalar, RangeMonitor.observe
 
@@ -830,7 +837,7 @@ class TestFloatOps:
                 for monitor in (None, RangeMonitor()):
                     calls.update(quantize=0, generic=0, observe=0)
                     op(*args, fmt, monitor)
-                    want = {"quantize": 1 if op is tanh else outside_calls, "generic": outside_calls,
+                    want = {"quantize": 1, "generic": outside_calls,
                             "observe": outside_calls if monitor is not None else 0}
                     assert calls == want, (op.__name__, fmt.name, args, monitor)
 

@@ -151,6 +151,12 @@ class Gradients:
     d_theta: np.ndarray
     d_t: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Every NaN as `np.nan`: which sign an op of two NaNs gives depends on
+        # the interpreter's state (`mpode.precision`), not on the sweep.
+        for name, value in (("d_x", self.d_x), ("d_theta", self.d_theta), ("d_t", self.d_t)):
+            setattr(self, name, np.where(np.isnan(value), np.nan, value))
+
     def to_csv(self, path: str | Path) -> None:
         """One line per component; batched gradients raise ValueError."""
         if self.d_x.ndim != 1:
@@ -334,7 +340,9 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
         # grid's smallest step over it a normal float64, so h / scale is
         # exact; a float64 low format overflows nothing first, and doubling
         # without a bound would reach inf.
-        max_scale = math.ldexp(1.0, min(math.frexp(float(np.min(np.diff(t))))[1] + 1021, 1023))
+        _, h_exp = math.frexp(float(np.min(np.diff(t))))  # the smallest step is >= 2**(h_exp - 1)
+        max_exp = min(h_exp - 1 + 1022, 1023)  # and over 2**max_exp it is >= 2**-1022
+        max_scale = math.ldexp(1.0, max_exp)
         scale = min(init_scale(a, fmt_low) * scale_multiplier, max_scale)
 
     for i in range(n - 1, -1, -1):

@@ -27,7 +27,7 @@ is again bit-identical to its run alone with its own parameters.
 A state with one component (`x.shape == (1,)`, not a batch of one) runs on
 Python floats: `forward` carries the high-precision state and the stage
 inputs as floats, and only the stored `states` rows are arrays.  A rounded
-product costs 8 (float16) to 65 (bfloat16) times more on a 1-element
+product costs 8 (float16) to 13 (bfloat16) times more on a 1-element
 array than on a float, and the two round alike, so the results, the
 monitor counts and the op sequence are those of the `(1,)` array.  The
 path is chosen from the input's shape alone, here and in

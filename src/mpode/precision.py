@@ -22,7 +22,7 @@ Most inputs are tiny.  A solve with one state component runs on Python
 floats (`integrate` chooses that from the state's shape): every primitive
 takes a float and returns one, and `dot` of two floats is their rounded
 product.  What still arrives as an array is mostly a 2- to 9-element
-vector.
+vector, and every numpy ufunc call costs 0.5-1 us whatever its size.
 
 `quantize` is the one rounder.  The solve modules write each rounded op
 as `quantize` of its exact carrier value, `quantize(a + b, fmt, monitor)`,
@@ -40,19 +40,21 @@ Rounding is monotone and min_normal and max_finite are representable, so
 such a value stays in the normal range, has no range event, and returns at
 once: a monitor is consulted only for the rest.  A float zero rounds to
 itself, keeps its sign and is no range event, so it returns right after
-that test.  Other floats (subnormals, values beyond +-top, infinities and
-NaN), other numbers (`np.float64`, int, bool, as their float) and arrays
-without a native dtype take the generic frexp/ldexp code, which sends a
-value that rounds past float64's largest to inf.  A `dot` of two or more
-terms in float16, float32 or float64 rounds (or, in float64, keeps) its
-products and partial sums in its own frame with no `quantize` call;
+that test.  Other numbers (`np.float64`, int, bool) round as their float.
+Other floats (subnormals, values beyond +-top, infinities and NaN), and
+arrays of over `_SMALL` elements without a native dtype, take the generic
+frexp/ldexp code, which sends a value that rounds past float64's largest
+to inf; smaller such arrays round one float at a time.  A `dot` of two or
+more terms in float16, float32 or float64 rounds (or, in float64, keeps)
+its products and partial sums in its own frame with no `quantize` call;
 bfloat16 and one-term `dot`s call it.
 
 A NaN keeps its sign through `quantize` on every path, so an op with one
 NaN operand returns a NaN of that sign.  An op of two NaNs (a carrier sum
-or product, a `dot` of two floats) returns a NaN of unspecified sign:
-CPython's float add and multiply return either operand, depending on
-whether the interpreter has specialized the op's bytecode.
+or product, a `dot` of two floats) returns a NaN of unspecified sign: of
+two NaN floats, CPython's `a + b` and `a * b` return one operand's before
+the interpreter has specialized that line and the other's after, and that
+depends on what ran before.  `adjoint.Gradients` holds NaNs as `np.nan`.
 """
 from __future__ import annotations
 
@@ -148,10 +150,10 @@ def get_format(name: str) -> FloatFormat:
         raise ValueError(f"unknown format {name!r}, expected one of {sorted(FORMATS)}") from None
 
 
-# `integrate` checks arrays of at most this many elements for finite values
-# one element at a time in Python, where `np.isfinite(x).all()` costs about
-# 2 us; that covers the float16 finite checks of batched solves too, so it
-# stays where it was set.
+# Arrays of at most this many elements round to a format without a native
+# dtype, and `integrate` checks them for finite values, one element at a
+# time in Python: bfloat16 rounding takes 1.2-2.5 us that way, 7.5-8.9 us in
+# numpy for 1 to 8 elements, `np.isfinite(x).all()` about 2 us.
 _SMALL = 8
 
 
@@ -232,44 +234,49 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     Scalars map to python floats, everything else to float64 ndarrays whose
     elements are representable in `fmt`.  Signed zero is preserved, and a
     NaN keeps the input's sign on every path (so a batch row rounds like
-    the same values alone), though not necessarily its payload.  This
-    holds for an op with one NaN operand; an op of two NaNs returns a NaN
-    of unspecified sign (module docstring).  float64 is a passthrough (the
+    the same values alone), though not necessarily its payload (an op of
+    two NaNs: module docstring).  float64 is a passthrough (the
     carrier itself); the result may then alias the input, and a monitor
     sees nothing.  A float that the split rounder takes
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
     the normal range.  So does a float zero, which rounds to itself: only
     a nonzero float outside the range reaches the monitor.  Only arrays
     can warn: the float16/float32 cast and the generic code on bfloat16
-    arrays emit numpy's overflow `RuntimeWarning`, which solves silence
-    and direct callers see.
+    arrays of over `_SMALL` elements emit numpy's overflow
+    `RuntimeWarning`, which solves silence and direct callers see.
     """
     split = fmt._split
     if split is None:  # float64 rounds nothing
         return float(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=np.float64)
-    if type(x) is float:
-        tiny, top, splitter = split
-        if tiny <= abs(x) <= top:  # stays in the normal range: nothing to observe
-            g = splitter * x
-            return g + (x - g)
-        if x == 0.0:  # rounds to itself, sign kept, and is no range event
-            return x
-        out = _quantize_scalar(x, fmt)
-    elif isinstance(x, (float, int)):  # a number rounds as its float
-        out = _quantize_scalar(float(x), fmt)
-    else:
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
-            x = np.asarray(x, dtype=np.float64)
-        if fmt._native is not None:
-            out = x.astype(fmt._native).astype(np.float64)
-        else:  # the generic code, elementwise; `out=` keeps a 0-d array one
-            _, e = np.frexp(x)
-            shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
-            # np.rint keeps the sign of a zero, so only overflow needs fixing.
-            out = np.ldexp(np.rint(np.ldexp(x, -shift)), shift, out=np.empty_like(x))
-            over = np.abs(out) > fmt.max_finite
-            if over.any():
-                out = np.where(over, np.copysign(np.inf, x), out)
+    tiny, top, splitter = split
+    if type(x) is not float:
+        if isinstance(x, (float, int)):  # a number rounds as its float
+            x = float(x)
+        else:
+            if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+                x = np.asarray(x, dtype=np.float64)
+            if fmt._native is not None:
+                out = x.astype(fmt._native).astype(np.float64)
+            elif x.size <= _SMALL:  # one float at a time, by the float code below
+                # `map`, not a comprehension: that would make `fmt` a cell in every call
+                out = np.array(list(map(quantize, x.ravel().tolist(), [fmt] * x.size))).reshape(x.shape)
+            else:  # the generic code, elementwise; `out=` keeps a 0-d array one
+                _, e = np.frexp(x)
+                shift = np.maximum(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
+                # np.rint keeps the sign of a zero, so only overflow needs fixing.
+                out = np.ldexp(np.rint(np.ldexp(x, -shift)), shift, out=np.empty_like(x))
+                over = np.abs(out) > fmt.max_finite
+                if over.any():
+                    out = np.where(over, np.copysign(np.inf, x), out)
+            if monitor is not None:
+                monitor.observe(x, out, fmt)
+            return out
+    if tiny <= abs(x) <= top:  # stays in the normal range: nothing to observe
+        g = splitter * x
+        return g + (x - g)
+    if x == 0.0:  # rounds to itself, sign kept, and is no range event
+        return x
+    out = _quantize_scalar(x, fmt)
     if monitor is not None:
         monitor.observe(x, out, fmt)
     return out
@@ -294,23 +301,17 @@ def mul(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
 
 
 def div(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    # Route scalars through np.float64 so x/0 yields inf, not ZeroDivisionError.
+    # np.divide also for scalars, so x/0 yields inf, not ZeroDivisionError.
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(a, (float, int)) and isinstance(b, (float, int)):
-            return quantize(float(np.float64(a) / np.float64(b)), fmt, monitor)
-        return quantize(a / b, fmt, monitor)
+        return quantize(np.divide(a, b, dtype=np.float64), fmt, monitor)
 
 
 def exp(a, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     # np.exp also for scalars so both call paths share one libm.
-    if isinstance(a, (float, int)):
-        return quantize(float(np.exp(a)), fmt, monitor)
     return quantize(np.exp(np.asarray(a, dtype=np.float64)), fmt, monitor)
 
 
 def tanh(a, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    if isinstance(a, (float, int)):
-        return quantize(float(np.tanh(a)), fmt, monitor)
     return quantize(np.tanh(np.asarray(a, dtype=np.float64)), fmt, monitor)
 
 
@@ -319,9 +320,7 @@ def absolute(a, fmt: FloatFormat, monitor: RangeMonitor | None = None):
 
 
 def maximum(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
-    if isinstance(a, (float, int)) and isinstance(b, (float, int)):
-        return quantize(float(np.maximum(a, b)), fmt, monitor)
-    return quantize(np.maximum(a, b), fmt, monitor)
+    return quantize(np.maximum(a, b, dtype=np.float64), fmt, monitor)
 
 
 def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):

@@ -3,6 +3,7 @@
 import math
 import operator
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from mpode.oracles import fd_gradient
 from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, get_format
 from mpode.runners import decay_benchmark
 
-from test_integrate import batch_problem, high_format, per_row_problem, same_bits
+from test_integrate import batch_problem, high_format, per_row_problem
 
 
 def terminal_objective(factor=1.0):
@@ -674,14 +675,9 @@ class TestOneComponentFloatPath:
         assert traj.final_hp.tobytes() == btraj.final_hp.tobytes()
         assert grads.d_theta.shape == (runs[0][0].dim_params,)
         for name in ("d_x", "d_theta", "d_t"):
-            got, want = getattr(grads, name), getattr(bgrads, name)
-            if field_name == "polydecay":
-                # Its float16 `none` sweeps with a running cost make NaNs,
-                # and both solves add them as floats: an op of two NaNs
-                # returns a NaN of unspecified sign (`mpode.precision`).
-                assert same_bits(got, want), name
-            else:
-                assert got.tobytes() == want.tobytes(), name
+            # The polydecay float16 `none` sweeps with a running cost make
+            # NaNs of both signs, which `Gradients` holds as `np.nan`.
+            assert getattr(grads, name).tobytes() == getattr(bgrads, name).tobytes(), name
         assert (fwd_mon.underflows, fwd_mon.overflows) == (bfwd_mon.underflows, bfwd_mon.overflows)
         assert (bwd_mon.underflows, bwd_mon.overflows) == (bbwd_mon.underflows, bbwd_mon.overflows)
         assert (trace.scales, trace.rescale_counts, trace.doublings) == (
@@ -715,10 +711,7 @@ class TestLockstep:
                 assert (type(got), got.step) == (type(want), want.step)
             else:
                 for name in ("d_x", "d_theta", "d_t"):
-                    # An op of two NaNs returns a NaN of unspecified sign
-                    # (`mpode.precision`): which one depends on the
-                    # interpreter's state, not on the sweep.
-                    assert same_bits(getattr(got, name), getattr(want, name)), name
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
             assert (trace.scales, trace.rescale_counts, trace.doublings) == (
                 alone.scales, alone.rescale_counts, alone.doublings
             )
@@ -752,6 +745,18 @@ class TestLockstep:
         assert np.isinf(outcomes[0].d_theta).all()
         assert np.isfinite(outcomes[2].d_x).all() and np.isfinite(outcomes[2].d_theta).all()
 
+    @pytest.mark.parametrize("batched_sweeps", [2, 5, 40, 80])
+    def test_nan_signs_do_not_depend_on_earlier_sweeps(self, batched_sweeps):
+        # Batched sweeps first run the sweep's sums on arrays, which changes
+        # how the interpreter runs those lines on floats next; the none
+        # sweep adds NaNs of both signs, and its lockstep and lone results
+        # must still agree bit for bit.
+        field, params, xs = batch_problem("linear", 3)
+        traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 4), params, FLOAT16, FLOAT32)
+        for _ in range(batched_sweeps):
+            backward(Scheme.EULER, field, traj, params, terminal_objective(), ScalingPolicy.unscaled(), FLOAT16, FLOAT32)
+        self.test_safe_returns_early_and_the_others_go_on()
+
     def test_value_error_before_any_work(self):
         field, params, xs = batch_problem("mlp", 3)
         traj = forward(Scheme.EULER, field, xs, TimeGrid.uniform(1.0, 4), params, FLOAT16, FLOAT32)
@@ -762,6 +767,24 @@ class TestLockstep:
                 [ScalingPolicy.unscaled(), ScalingPolicy.dynamic()], FLOAT16, FLOAT32,
             )
         assert field.eval_count == evals
+
+
+def test_bfloat16_mlp_step_costs_at_most_six_float16_steps():
+    # bfloat16 has no native dtype, so its arrays of up to 8 elements round
+    # in Python one float at a time; rounding them in numpy's frexp/ldexp
+    # code made a 2-8-8-2 RK4 step 6.7 to 7.9 times a float16 one, against
+    # 3.5 to 4.9 times here (best of 5 runs each, interleaved).
+    field = MlpField((2, 8, 8, 2))
+    params = field.init_params(0)
+    grid = TimeGrid.uniform(1.0, 16)
+    best = {BFLOAT16: math.inf, FLOAT16: math.inf}
+    for _ in range(5):
+        for fmt in best:
+            start = time.process_time()
+            traj = forward(Scheme.RK4, field, np.array([0.5, -0.25]), grid, params, fmt, FLOAT32)
+            backward(Scheme.RK4, field, traj, params, terminal_objective(), ScalingPolicy.unscaled(), fmt, FLOAT32)
+            best[fmt] = min(best[fmt], time.process_time() - start)
+    assert best[BFLOAT16] <= 6.0 * best[FLOAT16], best
 
 
 class TestRoundingCallCount:

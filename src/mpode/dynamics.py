@@ -25,6 +25,14 @@ floats as `dtheta`, and `(1,)` arrays give `(1,)` arrays and a `(3,)`
 `dtheta`.  `LinearField` and `MlpField` turn a float state or
 cotangent into a `(1,)` array with `np.atleast_1d` and return arrays,
 `dt` excepted.
+
+A field may also carry an op program (`VelocityField.program`, a
+`precision.OpProgram`): `PolyDecayField` writes its forward and pullback
+once that way, on floats.  Its `_linearize` runs the compiled program, and
+a one-component solve calls the program's code directly from the
+generated step (`integrate`), with no `linearize` call, pullback closure
+or `FieldVjp` per stage; `eval_count` still counts every stage.  A
+subclass that overrides `_linearize` is evaluated through its override.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .precision import FloatFormat, dot, quantize, tanh
+from .precision import FloatFormat, OpProgram, dot, quantize, tanh
 
 __all__ = [
     "Params",
@@ -94,8 +102,25 @@ class VelocityField(abc.ABC):
     dim_state: int
     dim_params: int
 
+    # An op program (`precision.OpProgram`) whose `forward(t, y, params,
+    # monitor)` and `pullback(res, cotangent, monitor)` evaluate the field
+    # on a float state, or None.
+    program: OpProgram | None = None
+
     def __init__(self) -> None:
         self.eval_count = 0
+
+    @classmethod
+    def _float_program(cls) -> OpProgram | None:
+        """`program`, or None where a subclass below the class that set it
+        overrides `_linearize`: a solve then evaluates through the override."""
+        for klass in cls.__mro__:
+            attrs = vars(klass)
+            if "program" in attrs:
+                return attrs["program"]
+            if "_linearize" in attrs:
+                return None
+        return None
 
     def linearize(self, t, y, theta, fmt, monitor=None) -> tuple[np.ndarray, Pullback]:
         self.eval_count += 1
@@ -113,40 +138,53 @@ class PolyDecayField(VelocityField):
     """Scalar decay y' = -(th1*t^2 + th2*t + th3) * y.
 
     With steep coefficients the trajectory spans nearly the whole float16
-    range, which is what makes it a good range stress test.
+    range, which is what makes it a good range stress test.  Its forward
+    and pullback are its op program.
     """
 
     dim_state = 1
     dim_params = 3
+    program = OpProgram("PolyDecayField", """
+        def forward(t, y, params, monitor=None):
+            th1, th2, th3 = params
+            tq = Q(t)
+            t2 = Q(tq * tq)
+            p1 = Q(th1 * t2)
+            p2 = Q(th2 * tq)
+            s = Q(p1 + p2)
+            lam = Q(s + th3)
+            f = Q(lam * y)
+            return -f, (y, tq, t2, lam, th1, th2)
+
+        def pullback(res, cotangent, monitor=None):
+            y, tq, t2, lam, th1, th2 = res
+            cm = -cotangent
+            c_lam = Q(cm * y)
+            c_y = Q(cm * lam)
+            dth1 = Q(c_lam * t2)
+            dth2 = Q(c_lam * tq)
+            c_t2 = Q(c_lam * th1)
+            u = Q(c_t2 * tq)
+            u = Q(u + u)
+            v = Q(c_lam * th2)
+            dt = Q(v + u)
+            return c_y, dt, (dth1, dth2, c_lam)
+    """)
 
     def _linearize(self, t, y, theta, fmt, monitor):
         lift = not isinstance(y, float)  # a (1,) array in, (1,) arrays out
         if lift and y.ndim != 1:
             raise ValueError("PolyDecayField takes one state, not a batch")
-        th1, th2, th3 = np.asarray(theta, dtype=np.float64).tolist()
-        y0 = float(y[0]) if lift else y
-        tq = quantize(float(t), fmt, monitor)
-        t2 = quantize(tq * tq, fmt, monitor)
-        p1 = quantize(th1 * t2, fmt, monitor)
-        p2 = quantize(th2 * tq, fmt, monitor)
-        s = quantize(p1 + p2, fmt, monitor)
-        lam = quantize(s + th3, fmt, monitor)
-        f = -quantize(lam * y0, fmt, monitor)
+        ops = self.program.compile(fmt)
+        params = np.asarray(theta, dtype=np.float64).tolist()
+        f, res = ops.forward(float(t), float(y[0] if lift else y), params, monitor)
 
         def pull(cotangent, monitor=None) -> FieldVjp:
             lift_c = not isinstance(cotangent, float)
-            cm = -(float(cotangent[0]) if lift_c else cotangent)
-            c_lam = quantize(cm * y0, fmt, monitor)
-            c_y = quantize(cm * lam, fmt, monitor)
-            dth1 = quantize(c_lam * t2, fmt, monitor)
-            dth2 = quantize(c_lam * tq, fmt, monitor)
-            c_t2 = quantize(c_lam * th1, fmt, monitor)
-            u = quantize(c_t2 * tq, fmt, monitor)
-            u = quantize(u + u, fmt, monitor)
-            dt = quantize(quantize(c_lam * th2, fmt, monitor) + u, fmt, monitor)
+            c_y, dt, dtheta = ops.pullback(res, float(cotangent[0] if lift_c else cotangent), monitor)
             if lift_c:
-                return FieldVjp(np.array([c_y]), dt, np.array([dth1, dth2, c_lam]))
-            return FieldVjp(c_y, dt, (dth1, dth2, c_lam))
+                return FieldVjp(np.array([c_y]), dt, np.array(dtheta))
+            return FieldVjp(c_y, dt, dtheta)
 
         return (np.array([f]) if lift else f), pull
 

@@ -7,11 +7,18 @@ recomputation in the backward pass consumes, so they are the contract: the
 high-precision terminal state is exposed separately as a diagnostic.
 
 Each scheme is a Butcher tableau, held as data (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.1).  One stage routine runs a tableau for both the
-forward increment and the backward step tape, so the recomputed increment
-is bit-identical to the forward one by construction; the tape's pullback
-is derived from the same tableau (Griewank & Walther, Evaluating
-Derivatives, ch. 3).
+Solving ODEs I, sec. II.1).  From that data each scheme generates its step
+code, unrolled: one stage function for both the forward increment and the
+backward step tape, so the recomputed increment is bit-identical to the
+forward one by construction, and the tape's pullback (Griewank & Walther,
+Evaluating Derivatives, ch. 3).  The code comes in two forms from one
+emitter (`_Tableau._emit`).  The generic form reaches the field through
+`linearize` and rounds with `quantize` and `dot` calls, looked up in this
+module at each call.  The fused float form is an op program
+(`precision.OpProgram`) compiled per format with the field's own program,
+whose compiled `forward` and `pullback` it calls directly.  Print either
+with `inspect.getsource`, e.g. of `_TABLEAUX[Scheme.RK4].step(
+PolyDecayField.program, 3).compile(FLOAT16).pullback`.
 
 A minibatch runs as one solve.  The initial state is `(dim,)` or `(B, dim)`
 with a leading batch axis; the stored states are then `(n + 1, dim)` or
@@ -34,12 +41,16 @@ path is chosen from the input's shape alone, here and in
 `adjoint.backward`; `final_hp` keeps its `(1,)` shape.
 The step tape's pullback then sums floats too, and a field's tuple of
 parameter cotangents one float at a time, in stage order.  A field may
-hand back arrays for float inputs; the two forms mix freely.
+hand back arrays for float inputs; the two forms mix freely.  A float
+state whose field has an op program (`PolyDecayField`) takes the fused
+float form; every other state and field the generic one.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .precision import _SMALL, FloatFormat, RangeMonitor, dot, quantize
+from .precision import _SMALL, FloatFormat, OpProgram, RangeMonitor, dot, quantize
 
 __all__ = [
     "Scheme",
@@ -83,7 +94,8 @@ class Scheme(enum.Enum):
 
 
 class _Tableau:
-    """Explicit Butcher tableau (a, b, c) and the index lists its loops walk.
+    """Explicit Butcher tableau (a, b, c), the index lists its steps walk,
+    and the step code generated from them.
 
     Stage i evaluates the field at t + c_i h and y + sum_j a_ij h k_j; the
     increment is sum_i b_i k_i.  Zero entries emit no rounded op, and a unit
@@ -91,7 +103,8 @@ class _Tableau:
     form runs exactly the op sequence of the scheme written out by hand.
     """
 
-    def __init__(self, a, b, c) -> None:
+    def __init__(self, name, a, b, c) -> None:
+        self.name = name
         self.stages = len(b)
         # Nonzero a_ij of each stage row: the terms of the stage input.
         rows = [[(j, v) for j, v in enumerate(row) if v] for row in a]
@@ -113,6 +126,7 @@ class _Tableau:
         self.dh_terms = tuple(
             (i, j, v) for i, (ci, row) in enumerate(zip(c, rows)) for j, v in [(None, ci), *row] if v
         )
+        self._steps = {}  # a field's op program (None: generic) -> this scheme's step program
 
     def rounded_weights(self, fmt: FloatFormat) -> tuple:
         """`weights` rounded to `fmt`, rounded on the first call only."""
@@ -121,10 +135,103 @@ class _Tableau:
             out = self._rounded[fmt] = tuple(quantize(v, fmt) for v in self.weights)
         return out
 
+    def step(self, program=None, n_params=0) -> OpProgram:
+        """The step's op program: the generic form, or fused with a field's
+        op `program` whose `dtheta` is a tuple of `n_params` floats."""
+        out = self._steps.get(program)
+        if out is None:
+            if program is None:
+                out = OpProgram(f"{self.name}.step", self._emit(None), module=sys.modules[__name__])
+            else:
+                def env(fmt, rounder):
+                    field = program.compile(fmt, rounder)
+                    weights = {f"w{s}": v for s, v in enumerate(self.rounded_weights(fmt))}
+                    return {"F": field.forward, "P": field.pullback, "StepVjp": StepVjp, **weights}
+
+                out = OpProgram(f"{self.name}.step+{program.name}", self._emit(n_params), env)
+            self._steps[program] = out
+        return out
+
+    def _emit(self, n_params) -> str:
+        """Op-program source of the step's `stages` and `pullback`, unrolled.
+
+        `n_params` None gives the generic form: the field is reached through
+        `linearize` and its pullback closures, `dot` rounds the dh terms,
+        `_add_dtheta` sums parameter cotangents, and the rounded weights
+        come in as `w`.  Otherwise the fused float form: `F` and `P` are the
+        field program's compiled `forward` and `pullback`, every value is a
+        float, and `dtheta` a tuple of `n_params` floats summed one by one.
+        """
+        generic = n_params is None
+        n = self.stages
+        ks, rs = _names("k", n), _names("r", n)
+        unpack_w = [f"    {_names('w', len(self.weights))} = w"] if generic and self.weights else []
+        if generic:
+            src = ["def stages(field, y, t, h, theta, fmt, w, monitor=None):", *unpack_w]
+        else:
+            src = ["def stages(y, t, h, params, monitor=None):"]
+        for i, (c, row, slot) in enumerate(self.forward):
+            u = "y"
+            for j, a in row:
+                src += [f"    v = Q({a!r} * h * k{j})", f"    u = Q({u} + v)"]
+                u = "u"
+            at = f"t + {c!r} * h" if c else "t"
+            call = f"field.linearize({at}, {u}, theta, fmt, monitor)" if generic else f"F({at}, {u}, params, monitor)"
+            src.append(f"    k{i}, r{i} = {call}")
+            term = f"k{i}"
+            if slot is not None:
+                src.append(f"    v = Q(w{slot} * k{i})")
+                term = "v"
+            src.append(f"    dy = Q(dy + {term})" if i else f"    dy = {term}")
+        src.append(f"    return dy, ({ks}), ({rs})")
+
+        if generic:
+            src += ["", "def pullback(field, ks, rs, h, fmt, w, cotangent, monitor=None):", *unpack_w]
+        else:
+            src += ["", "def pullback(ks, rs, h, cotangent, monitor=None):"]
+        src += [f"    {ks} = ks", f"    {rs} = rs"]
+        src += [f"    s{s} = Q(w{s} * cotangent)" for s in range(len(self.weights))]
+        for j, slot, consumers in self.reverse:
+            c = "cotangent" if slot is None else f"s{slot}"
+            for i, a in consumers:
+                src += [f"    v = Q({a!r} * h * da{i})", f"    c = Q({c} + v)"]
+                c = "c"
+            call = f"r{j}({c}, monitor)" if generic else f"P(r{j}, {c}, monitor)"
+            src.append(f"    da{j}, dt{j}, dth{j} = {call}")
+        src += ["    da = da0", "    dt = dt0"]
+        src.append(f"    {_names('e', n_params)} = dth0" if n_params else "    dtheta = dth0")
+        for g in range(1, n):
+            src += [f"    da = Q(da + da{g})", f"    dt = Q(dt + dt{g})"]
+            if generic:
+                src += ["    if field.dim_params:", f"        dtheta = _add_dtheta(dtheta, dth{g}, fmt, monitor)"]
+            elif n_params:
+                src.append(f"    {_names('q', n_params)} = dth{g}")
+                src += [f"    e{m} = Q(e{m} + q{m})" for m in range(n_params)]
+        dh = False
+        for i, j, coef in self.dh_terms:
+            term = f"dt{i}"
+            if j is not None:
+                src.append(f"    v = dot(k{j}, da{i}, fmt, monitor)" if generic else f"    v = Q(k{j} * da{i})")
+                term = "v"
+            if coef != 1.0:
+                src.append(f"    v = Q({coef!r} * {term})")
+                term = "v"
+            src.append(f"    dh = Q(dh + {term})" if dh else f"    dh = {term}")
+            dh = True
+        dtheta = f"({_names('e', n_params)})" if n_params else "dtheta"
+        src.append(f"    return StepVjp(da, dt, {'dh' if dh else '0.0'}, {dtheta})")
+        return "\n".join(src)
+
+
+def _names(prefix: str, n: int) -> str:
+    """`prefix0, prefix1, ...`: n names as a tuple's items (one keeps its comma)."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
+
 
 _TABLEAUX = {
-    Scheme.EULER: _Tableau(a=[[]], b=[1.0], c=[0.0]),
+    Scheme.EULER: _Tableau("euler", a=[[]], b=[1.0], c=[0.0]),
     Scheme.RK4: _Tableau(
+        "rk4",
         a=[[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
         b=[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
         c=[0.0, 0.5, 0.5, 1.0],
@@ -226,28 +333,29 @@ def _theta_low(params, shape: tuple, fmt: FloatFormat) -> np.ndarray:
     return quantize(np.stack([p.master for p in params]), fmt)
 
 
-def _stages(tab, field, y, t, h, theta_low, fmt, monitor):
-    """Run a tableau once; returns the increment, stages, pullbacks and weights.
+def _stages(scheme, field, y, t, h, theta_low, fmt, monitor):
+    """Run one step's stages: the increment, and the step's generated
+    pullback with the arguments that come before its cotangent.
 
+    A float state whose field has an op program runs the scheme's step
+    fused with it; anything else runs the generic form through `linearize`.
     Butcher weights live in the computation format, like every other
     operand of the stage arithmetic, and are applied per stage before
     accumulating so partial sums stay on the order of |dy| itself.
     Summing raw stages first peaks near 6|dy| for RK4 and can overflow a
     narrow format even when every stage and every state is in range.
     """
-    weights = tab.rounded_weights(fmt)
-    ks, pulls = [], []
-    dy = None
-    for c, row, slot in tab.forward:
-        u = y
-        for j, a in row:
-            u = quantize(u + quantize(a * h * ks[j], fmt, monitor), fmt, monitor)
-        k, pull = field.linearize(t + c * h if c else t, u, theta_low, fmt, monitor)
-        ks.append(k)
-        pulls.append(pull)
-        term = k if slot is None else quantize(weights[slot] * k, fmt, monitor)
-        dy = term if dy is None else quantize(dy + term, fmt, monitor)
-    return dy, ks, pulls, weights
+    tab = _TABLEAUX[scheme]
+    program = type(field)._float_program() if type(y) is float else None
+    if program is None:
+        step = tab.step().compile()
+        w = tab.rounded_weights(fmt)
+        dy, ks, rs = step.stages(field, y, t, h, theta_low, fmt, w, monitor)
+        return dy, step.pullback, (field, ks, rs, h, fmt, w)
+    step = tab.step(program, field.dim_params).compile(fmt)
+    field.eval_count += tab.stages  # what `linearize` would count
+    dy, ks, rs = step.stages(y, t, h, theta_low.tolist(), monitor)
+    return dy, step.pullback, (ks, rs, h)
 
 
 def increment(
@@ -267,7 +375,7 @@ def increment(
     t).  The c_i h and a_ij h products stay in the carrier, where the halves
     and ones of Euler and RK4 make them exact.
     """
-    return _stages(_TABLEAUX[scheme], field, y, t, h, theta_low, fmt, monitor)[0]
+    return _stages(scheme, field, y, t, h, theta_low, fmt, monitor)[0]
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -373,31 +481,5 @@ def build_step_tape(
     step and parameter cotangents of all stages are then summed in stage
     order.
     """
-    tab = _TABLEAUX[scheme]
-    dy, ks, pulls, weights = _stages(tab, field, y, t, h, theta_low, fmt, monitor)
-
-    def pullback(cotangent, monitor=None) -> StepVjp:
-        scaled = []
-        for w in weights:
-            scaled.append(quantize(w * cotangent, fmt, monitor))
-        gs = [None] * tab.stages
-        for j, slot, consumers in tab.reverse:
-            kbar = cotangent if slot is None else scaled[slot]
-            for i, a in consumers:
-                kbar = quantize(kbar + quantize(a * h * gs[i].da, fmt, monitor), fmt, monitor)
-            gs[j] = pulls[j](kbar, monitor)
-        da, dt, dtheta = gs[0]
-        for g in gs[1:]:
-            da = quantize(da + g.da, fmt, monitor)
-            dt = quantize(dt + g.dt, fmt, monitor)
-            if field.dim_params:
-                dtheta = _add_dtheta(dtheta, g.dtheta, fmt, monitor)
-        dh = None
-        for i, j, coef in tab.dh_terms:
-            v = gs[i].dt if j is None else dot(ks[j], gs[i].da, fmt, monitor)
-            if coef != 1.0:
-                v = quantize(coef * v, fmt, monitor)
-            dh = v if dh is None else quantize(dh + v, fmt, monitor)
-        return StepVjp(da, dt, 0.0 if dh is None else dh, dtheta)
-
-    return StepTape(dy, pullback)
+    dy, pullback, args = _stages(scheme, field, y, t, h, theta_low, fmt, monitor)
+    return StepTape(dy, functools.partial(pullback, *args))

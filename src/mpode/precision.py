@@ -25,10 +25,14 @@ product.  What still arrives as an array is mostly a 2- to 9-element
 vector, and every numpy ufunc call costs 0.5-1 us whatever its size.
 
 `quantize` is the one rounder.  The solve modules write each rounded op
-as `quantize` of its exact carrier value, `quantize(a + b, fmt, monitor)`,
-which is one Python call per op, monitored or not; `add`, `sub`, `mul`,
+on arrays as `quantize` of its exact carrier value, `quantize(a + b, fmt,
+monitor)`, one Python call per op, monitored or not; `add`, `sub`, `mul`,
 `div`, `exp`, `tanh`, `absolute` and `maximum` are that same call in one
-line.  `quantize` rounds a float, and a float64 array in a format with a
+line.  The float ops of a one-component solve are written once as op
+programs (`OpProgram`: `PolyDecayField`'s forward and pullback, each
+scheme's stages and step pullback), whose generated code does `quantize`'s
+float rounding inline and calls it only for values outside the normal
+range.  `quantize` rounds a float, and a float64 array in a format with a
 native dtype, in its own frame, from constants each format holds as plain
 attributes (`FloatFormat._split`, `_native`).  A float with
 min_normal <= |x| <= top (top is max_finite unless x * splitter could
@@ -58,8 +62,12 @@ depends on what ran before.  `adjoint.Gradients` holds NaNs as `np.nan`.
 """
 from __future__ import annotations
 
+import linecache
 import math
+import re
 import sys
+import textwrap
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +82,7 @@ __all__ = [
     "get_format",
     "quantize",
     "RangeMonitor",
+    "OpProgram",
     "add",
     "sub",
     "mul",
@@ -379,3 +388,104 @@ def dot(a, b, fmt: FloatFormat, monitor: RangeMonitor | None = None):
             monitor.observe(raw, p, fmt)
             monitor.observe(acc[..., :-1] + p[..., 1:], acc[..., 1:], fmt)
     return float(acc[-1]) if acc.ndim == 1 else acc[..., -1].astype(np.float64)
+
+
+# An op line: `x = Q(expr)`, the whole right-hand side one rounded op.
+_OP_LINE = re.compile(r"(\s*)(\w+) = Q\((.*)\)$")
+
+
+def _op_code(source: str, split) -> str:
+    """`source` with every op line `x = Q(expr)` written out.
+
+    `split` None gives the call form, `x = quantize(expr, fmt, monitor)`;
+    an empty tuple (float64) gives `x = expr`; a format's `_split` gives
+    `x = expr`, then the Veltkamp split of x in the normal range and one
+    `quantize` call for any other nonzero x (`quantize`'s own float code).
+    """
+    out = []
+    for line in source.splitlines():
+        m = _OP_LINE.fullmatch(line)
+        if m is None:
+            out.append(line)
+            continue
+        ind, x, expr = m.groups()
+        if split is None:
+            out.append(f"{ind}{x} = quantize({expr}, fmt, monitor)")
+            continue
+        out.append(f"{ind}{x} = {expr}")
+        if split:
+            tiny, top, splitter = split
+            out += [
+                f"{ind}if {tiny!r} <= abs({x}) <= {top!r}:",
+                f"{ind}    _g = {splitter!r} * {x}",
+                f"{ind}    {x} = _g + ({x} - _g)",
+                f"{ind}elif {x} != 0.0:",
+                f"{ind}    {x} = quantize({x}, fmt, monitor)",
+            ]
+    text = "\n".join(out) + "\n"
+    if re.search(r"\bQ\(", text):
+        raise ValueError("Q(...) must be the whole right-hand side of an op line `x = Q(expr)`")
+    return text
+
+
+class OpProgram:
+    """Python functions whose rounded ops are written `x = Q(expr)`.
+
+    `source` defines one or more functions, each with a `monitor` in scope.
+    Every line `x = Q(expr)` is one op: `expr` evaluated in the float64
+    carrier, then rounded to the format; other lines run as written, and
+    the name `_g` is the generated code's own.  `compile(fmt)` generates and
+    compiles the code for one format on first use and caches it, so nothing
+    compiles at import.  In float16, bfloat16 and float32 each op becomes
+    `x = expr`, then `quantize`'s Veltkamp split inline when min_normal <=
+    |x| <= top, and otherwise, for a nonzero x, one `quantize(x, fmt,
+    monitor)` call, the only code that sees the monitor.  In float64 an op
+    keeps the bare carrier value.  The inline code takes floats; each op
+    gives the bits and the range events of `quantize`.
+
+    `compile(fmt, rounder)` writes every op as a call `rounder(expr, fmt,
+    monitor)` instead: the one seam through which a test rounds the
+    generated ops with a rounder of its own.  `compile()` writes every op as
+    `quantize(expr, fmt, monitor)` for functions that take `fmt` as an
+    argument; with `module` given, the functions read that module's
+    globals, so its `quantize` is looked up at each call.  `env(fmt,
+    rounder)` gives the generated code more globals.
+
+    The generated text is registered with `linecache` under the filename
+    `<op program NAME FORMAT>`, so tracebacks show its lines and
+    `inspect.getsource` prints each function.
+    """
+
+    def __init__(self, name: str, source: str, env=None, module=None) -> None:
+        self.name = name
+        self.source = textwrap.dedent(source).strip("\n")
+        self._env = env
+        self._module = module
+        self._compiled: dict = {}
+
+    def compile(self, fmt: FloatFormat | None = None, rounder=None) -> types.SimpleNamespace:
+        """The functions of the program for `fmt`, by name; built on the
+        first call for each `fmt` and `rounder`."""
+        key = (fmt, rounder)
+        out = self._compiled.get(key)
+        if out is None:
+            out = self._compiled[key] = self._build(fmt, rounder)
+        return out
+
+    def _build(self, fmt, rounder) -> types.SimpleNamespace:
+        if fmt is None or rounder is not None:
+            split, label = None, "generic" if fmt is None else f"{fmt} via {rounder.__name__}"
+        else:
+            split, label = fmt._split or (), fmt.name
+        text = _op_code(self.source, split)
+        if self._module is not None:
+            namespace = vars(self._module)
+        else:
+            namespace = {"quantize": rounder or quantize, "fmt": fmt}
+            if self._env is not None:
+                namespace.update(self._env(fmt, rounder))
+        filename = f"<op program {self.name} {label}>"
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+        functions: dict = {}
+        exec(compile(text, filename, "exec"), namespace, functions)
+        return types.SimpleNamespace(**functions)

@@ -4,6 +4,7 @@ import math
 import operator
 import sys
 import time
+import types
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from mpode.adjoint import (
 from mpode.dynamics import FieldVjp, LinearField, MlpField, Params, PolyDecayField, VelocityField
 from mpode.integrate import NonFiniteState, Scheme, TimeGrid, forward
 from mpode.oracles import fd_gradient
-from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, get_format
+from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, OpProgram, RangeMonitor, get_format
 from mpode.runners import decay_benchmark
 
 from test_integrate import batch_problem, high_format, per_row_problem
@@ -606,9 +607,34 @@ def one_component_runs(field_name):
     return [(field, params, x), (field, params, x[None])], TimeGrid.uniform(1.0, 6), 1e4
 
 
-def state_types(field):
-    """Record the type of the state each linearize call of `field` receives."""
+class StateTypeProgram(OpProgram):
+    """A copy of an op program whose compiled `forward` records the type of
+    the state of each call in `seen`."""
+
+    def __init__(self, program, seen):
+        super().__init__(program.name, program.source)
+        self.seen = seen
+
+    def compile(self, fmt=None, rounder=None):
+        ops = super().compile(fmt, rounder)
+        forward = ops.forward
+
+        def spy(t, y, *args):
+            self.seen.append(type(y))
+            return forward(t, y, *args)
+
+        return types.SimpleNamespace(forward=spy, pullback=ops.pullback)
+
+
+def state_types(field, monkeypatch):
+    """Record the type of the state each evaluation of `field` receives: at
+    its compiled op program where its class has one, which a one-component
+    solve calls without `linearize`, else at each `linearize` call."""
     seen = []
+    program = type(field).program
+    if program is not None:
+        monkeypatch.setattr(type(field), "program", StateTypeProgram(program, seen))
+        return seen
     linearize = field.linearize
 
     def spy(t, y, *args):
@@ -617,6 +643,17 @@ def state_types(field):
 
     field.linearize = spy
     return seen
+
+
+def compile_ops_with(monkeypatch, rounder):
+    """Compile every op program's ops in a format as `rounder(expr, fmt,
+    monitor)` calls, the generated code's one seam for a test rounder."""
+    compile_ops = OpProgram.compile
+
+    def compile_with(self, fmt=None, _=None):
+        return compile_ops(self, fmt, None if fmt is None else rounder)
+
+    monkeypatch.setattr(OpProgram, "compile", compile_with)
 
 
 def quantize_operand_types(monkeypatch):
@@ -656,7 +693,7 @@ class TestOneComponentFloatPath:
         operands = quantize_operand_types(monkeypatch)
         results = []
         for k, (field, params, x) in enumerate(runs):
-            seen = state_types(field)
+            seen = state_types(field, monkeypatch)
             fwd_mon, bwd_mon, trace = RangeMonitor(), RangeMonitor(), BackwardTrace()
             traj = forward(scheme, field, x, grid, params, fmt, FLOAT32, fwd_mon)
             forward_seen = seen[:]
@@ -867,8 +904,10 @@ class TestRoundingCallCount:
         # cotangents included, so no monitored op gets an array: a rounded
         # float whose exact value is in [min_normal, max_finite] or is zero
         # never reaches the monitor, and every other one reaches it once.
-        # Each monitored op that the modules call is wrapped to redo its
-        # exact value.
+        # The step's generated ops are compiled to call a tallying
+        # `quantize` with their exact value, and each monitored op that the
+        # modules call is wrapped to redo it; then the generated code with
+        # its inline rounding must observe exactly as often.
         exact = {"quantize": (1, lambda x: x), "add": (2, operator.add), "sub": (2, operator.sub),
                  "mul": (2, operator.mul), "dot": (2, operator.mul)}
         tally = {"inside": 0, "zero": 0, "outside": 0, "arrays": 0}
@@ -895,20 +934,29 @@ class TestRoundingCallCount:
                 return fn(*args)
             return op
 
-        for module in (dynamics, integrate, adjoint):
-            for name in exact:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, tallying(name, getattr(precision, name)))
+        def solve():
+            field, params, x, _ = decay_benchmark()
+            monitor = RangeMonitor()
+            traj = forward(Scheme.RK4, field, x, TimeGrid.uniform(0.5, 1), params, FLOAT16, FLOAT32, monitor)
+            grads = backward(
+                Scheme.RK4, field, traj, params, terminal_objective(),
+                ScalingPolicy.dynamic(), FLOAT16, FLOAT32, monitor=monitor,
+            )
+            return traj.states.tobytes(), grads.d_theta.tobytes(), monitor.underflows, monitor.overflows
+
         monkeypatch.setattr(RangeMonitor, "observe", counting_observe)
-        field, params, x, _ = decay_benchmark()
-        monitor = RangeMonitor()
-        traj = forward(Scheme.RK4, field, x, TimeGrid.uniform(0.5, 1), params, FLOAT16, FLOAT32, monitor)
-        backward(
-            Scheme.RK4, field, traj, params, terminal_objective(),
-            ScalingPolicy.dynamic(), FLOAT16, FLOAT32, monitor=monitor,
-        )
+        inline = solve()
+        inline_observed = len(observed)
+        with monkeypatch.context() as patch:
+            compile_ops_with(patch, tallying("quantize", precision.quantize))
+            for module in (dynamics, integrate, adjoint):
+                for name in exact:
+                    if hasattr(module, name):
+                        patch.setattr(module, name, tallying(name, getattr(precision, name)))
+            observed.clear()
+            assert solve() == inline
         assert tally["inside"] > tally["outside"] > 0 and tally["zero"] > 0 and tally["arrays"] == 0, tally
-        assert len(observed) == tally["outside"], tally
+        assert len(observed) == tally["outside"] == inline_observed, tally
 
 
 class AlwaysInfVjpField(VelocityField):

@@ -1,6 +1,8 @@
 """Forward integrator tests: bit-level references and blow-up reporting."""
 
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from mpode.integrate import (
     forward,
     increment,
 )
-from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, RangeMonitor, quantize
+from mpode.precision import BFLOAT16, FLOAT16, FLOAT32, FLOAT64, OpProgram, RangeMonitor, quantize
 
 
 class ZeroField(LinearField):
@@ -187,6 +189,60 @@ class TestStepTape:
         for bad in (math.inf, -math.inf, math.nan):
             assert not StepVjp(1.0, 0.0, 0.0, (1.0, bad, 3.0)).finite()
             assert not integrate._all_finite((0.5, bad))
+
+
+class TestGeneratedStep:
+    """A float state whose field has an op program steps through the
+    scheme's step code fused with the field's compiled program."""
+
+    def solve(self, field, fmt=FLOAT16, scheme=Scheme.RK4):
+        params = Params([0.4, -1.1, 0.9])
+        traj = forward(scheme, field, np.array([1.0]), TimeGrid.uniform(2.0, 8), params, fmt, FLOAT32)
+        tape = build_step_tape(scheme, field, float(traj.states[3, 0]), 0.5, 0.25, params.low(fmt), fmt)
+        return traj.states.tobytes(), tape.increment, tape.pullback(0.75)
+
+    def test_field_program_is_called_without_linearize(self, monkeypatch):
+        # The benchmark's tracer replaces `_linearize` on the class: the
+        # step must not depend on which function that is.
+        want = self.solve(PolyDecayField())
+        field = PolyDecayField()
+        monkeypatch.setattr(field, "linearize", None)
+        monkeypatch.setattr(PolyDecayField, "_linearize", None)
+        assert self.solve(field) == want
+        assert field.eval_count == 9 * Scheme.RK4.stages  # 8 forward steps and the tape
+
+    def test_subclass_linearize_runs(self):
+        calls = []
+
+        class Counted(PolyDecayField):
+            def _linearize(self, *args):
+                calls.append(1)
+                return super()._linearize(*args)
+
+        assert self.solve(Counted()) == self.solve(PolyDecayField())
+        assert len(calls) == 9 * Scheme.RK4.stages
+
+    def test_a_second_solve_compiles_nothing(self, monkeypatch):
+        builds = []
+        build = OpProgram._build
+        monkeypatch.setattr(OpProgram, "_build", lambda *args: builds.append(args) or build(*args))
+        for fmt in (FLOAT16, BFLOAT16, FLOAT32, FLOAT64):
+            for scheme in Scheme:
+                self.solve(PolyDecayField(), fmt, scheme)
+        builds.clear()
+        self.solve(PolyDecayField(), BFLOAT16, Scheme.EULER)
+        assert builds == []
+
+    def test_traceback_shows_the_generated_line(self):
+        field = PolyDecayField()
+        with pytest.raises(ValueError) as info:
+            increment(Scheme.RK4, field, 1.0, 0.0, 0.1, np.zeros(2), FLOAT16)
+        frame = traceback.extract_tb(info.tb)[-1]
+        assert frame.filename == "<op program PolyDecayField float16>"
+        assert frame.line == "th1, th2, th3 = params"
+        source = inspect.getsource(PolyDecayField.program.compile(FLOAT16).forward)
+        assert source.startswith("def forward(t, y, params, monitor=None):\n")
+        assert "_g = 4398046511105.0 * t2" in source
 
 
 class TestForward:

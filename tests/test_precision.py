@@ -18,6 +18,7 @@ from mpode.precision import (
     FLOAT32,
     FLOAT64,
     FloatFormat,
+    OpProgram,
     RangeMonitor,
     absolute,
     add,
@@ -38,6 +39,14 @@ from _oracles import round_bfloat16, round_float16, round_float32, round_to_form
 # Its split rounder's top is below max_finite: the values between take
 # the generic code.
 E11M20 = FloatFormat("e11m20", 11, 20)
+
+# One rounded op of a generated op program: the split inline, `quantize`
+# for the rest.
+ONE_OP = OpProgram("one_op", """
+    def op(x, monitor=None):
+        y = Q(x)
+        return y
+""")
 
 
 def all_float16_values() -> np.ndarray:
@@ -111,6 +120,8 @@ class TestQuantizeExact:
         got = np.array(got)
         want = np.array([oracle(v) for v in xs.tolist()])
         assert _same_bits(got, want), xs[got.view(np.uint64) != want.view(np.uint64)][:5]
+        generated = np.array(list(map(ONE_OP.compile(fmt).op, xs.tolist())))
+        assert generated.tobytes() == got.tobytes(), xs[generated.view(np.uint64) != got.view(np.uint64)][:5]
         if native is not None:
             with np.errstate(over="ignore"):
                 assert _same_bits(got, xs.astype(native).astype(np.float64))
@@ -736,6 +747,23 @@ class TestQuantizeDispatch:
         got, got_counts = _rounded(xs, fmt)
         assert _same_bits(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), fmt.name
         assert got_counts == [sum(c[j] for _, c in floats) for j in (0, 1)], fmt.name
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, FLOAT64, E11M20], ids=lambda f: f.name)
+    def test_generated_op_matches_the_float_path(self, fmt):
+        # A generated op rounds inline where the split applies and calls
+        # `quantize` elsewhere: bits, NaN sign and monitor counts are
+        # those of `quantize` on each side of every boundary.
+        op = ONE_OP.compile(fmt).op
+        top = fmt._split[1] if fmt._split else fmt.max_finite
+        edges = [fmt.min_normal, fmt.min_subnormal, fmt.min_subnormal / 2, 5e-324, top, fmt.max_finite]
+        edges += [float(np.nextafter(v, d)) for v in edges for d in (0.0, math.inf)]
+        for v in _edge_values(fmt) + edges + [-v for v in edges] + [1.0, -3.0e-6]:
+            want, counts = _rounded(v, fmt)
+            mon = RangeMonitor()
+            got = op(v, mon)
+            assert type(got) is float and type(op(v)) is float, (fmt.name, v)
+            assert _same_bits(got, want) and np.signbit(got) == np.signbit(want), (fmt.name, v, got)
+            assert [mon.underflows, mon.overflows] == counts, (fmt.name, v)
 
 
 # Each op of two floats and its exact carrier value; division goes through

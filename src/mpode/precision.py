@@ -24,21 +24,21 @@ takes a float and returns one, and `dot` of two floats is their rounded
 product.  What still arrives as an array is mostly a 2- to 9-element
 vector, and every numpy ufunc call costs 0.5-1 us whatever its size.
 
-`quantize` is the one rounder.  The solve modules write each rounded op
-on arrays as `quantize` of its exact carrier value, `quantize(a + b, fmt,
-monitor)`, one Python call per op, monitored or not; `add`, `sub`, `mul`,
-`div`, `exp`, `tanh`, `absolute` and `maximum` are that same call in one
-line.  The float ops of a one-component solve are written once as op
-programs (`OpProgram`: `PolyDecayField`'s forward and pullback, each
-scheme's stages and step pullback), whose generated code does `quantize`'s
-float rounding inline and calls it only for values outside the normal
-range.  `quantize` rounds a float, and a float64 array in a format with a
-native dtype, in its own frame, from constants each format holds as plain
-attributes (`FloatFormat._split`, `_native`).  A float with
-min_normal <= |x| <= top (top is max_finite unless x * splitter could
-overflow) is rounded by Veltkamp splitting (Dekker, 1971; Boldo,
-"Pitfalls of a full floating-point proof", 2006):
-with g = splitter * x, splitter = 2**(52 - mantissa_bits) + 1, the float64
+`quantize` is the one rounder.  Outside generated code the solve modules
+write each rounded op as `quantize` of its exact carrier value,
+`quantize(a + b, fmt, monitor)`, one Python call per op, monitored or not;
+`add`, `sub`, `mul`, `div`, `exp`, `tanh`, `absolute` and `maximum` are
+that same call in one line.  The float ops of a one-component solve are
+written once as op programs (`OpProgram`: `PolyDecayField`'s forward and
+pullback, each scheme's stages and step pullback), whose generated code
+does `quantize`'s float rounding inline and calls it only for values
+outside the normal range.  `quantize` rounds a float, and a float64
+array in a format with a native dtype, in its own frame, from constants
+each format holds as plain attributes (`FloatFormat._split`, `_native`).
+A float with min_normal <= |x| <= top (top is max_finite unless
+x * splitter could overflow) is rounded by Veltkamp splitting (Dekker,
+1971; Boldo, "Pitfalls of a full floating-point proof", 2006): with
+g = splitter * x, splitter = 2**(52 - mantissa_bits) + 1, the float64
 sum g + (x - g) is x rounded to nearest even on mantissa_bits + 1 bits.
 Rounding is monotone and min_normal and max_finite are representable, so
 such a value stays in the normal range, has no range event, and returns at

@@ -39,13 +39,27 @@ floats, as are a running cost's partials.  The parameter accumulator is a
 tuple of floats and the time gradient a list of floats, both made arrays
 on return.  Any unbatched sweep keeps its time gradient as a list of
 floats: `dot` of two vectors, and each field's `dt` for one state, are
-floats.  Array values may mix in (a field's array `dtheta`) and round
-alike.  `d_x` keeps its `(1,)` shape.
+floats.  Array values may mix in and round alike; a field's array
+`dtheta` is summed into the tuple one float at a time (`_add_dtheta`).
+`d_x` keeps its `(1,)` shape.
+
+Each step's high-precision update, the step's commit, is written once as
+op-program source (`_commit_source`, see `precision.OpProgram`): Phi^T a,
+the two time-gradient updates, a running cost's terms, the adjoint and
+the parameter sums.  It compiles in the two forms of the step code
+(`integrate`), chosen once per solve: a one-component sweep whose step
+tapes are fused runs the float form, with the rounding inline, Phi^T a
+as one rounded product and the parameter sums unrolled; every other
+sweep runs the generic form, whose `quantize`, `dot` and `_add_dtheta`
+calls take arrays and batches.  The covector rounding before each
+pullback stays a `quantize` call.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -53,8 +67,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import Params, VelocityField
-from .integrate import Scheme, Trajectory, _add_dtheta, _all_finite, _theta_low, build_step_tape, format_float
-from .precision import FloatFormat, RangeMonitor, dot, quantize
+from .integrate import (
+    Scheme, Trajectory, _add_dtheta, _all_finite, _names, _theta_low, build_step_tape, format_float,
+)
+from .precision import FloatFormat, OpProgram, RangeMonitor, dot, quantize
 
 __all__ = [
     "RunningCost",
@@ -287,6 +303,60 @@ def _lockstep(
         step = h, build_step_tape(scheme, field, ys[i - 1], float(t[i - 1]), h, theta_low, fmt_low, monitor)
 
 
+def _commit_source(n_params: int, fused: bool) -> str:
+    """Op-program source of one step's high-precision commit, `commit`.
+
+    It returns the updated adjoint, parameter accumulator and time
+    gradients of nodes i and i + 1 from the step's increment `dy`, its
+    pullback `vjp`, hs = h / S, and a running cost's rounded partials `ry`
+    and `rth` (None without them) with their node weight `w`.  `fused`
+    gives the float form: every value is a float, `Phi^T a` is the rounded
+    product `Q(dy * a)`, and the accumulator `g`, `dtheta` and `rth` are
+    tuples of `n_params` floats summed one by one.  Otherwise the generic
+    form: `Phi^T a` is a `dot`, and `_add_dtheta` sums the parameter
+    cotangents whatever their kind.
+    """
+    src = [
+        "def commit(a, g, tg0, tg1, dy, vjp, hs, ry, rth, w, fmt, monitor=None):",
+        "    da, dt, dh, dtheta = vjp",
+        "    phi_a = Q(dy * a)" if fused else "    phi_a = dot(dy, a, fmt, monitor)",
+        "    u = Q(hs * (dt - dh))",
+        "    tg0 = Q(tg0 + u)",
+        "    tg0 = Q(tg0 - phi_a)",
+        "    u = Q(hs * dh)",
+        "    tg1 = Q(tg1 + u)",
+        "    tg1 = Q(tg1 + phi_a)",
+        "    if ry is not None:",
+        "        u = Q(w * ry)",
+        "        a = Q(a + u)",
+        "    u = Q(hs * da)",
+        "    a = Q(a + u)",
+    ]
+    if not fused:
+        if n_params:
+            src.append("    g = _add_dtheta(g, dtheta, fmt, monitor, hs)")
+        src += ["    if rth is not None:", "        g = _add_dtheta(g, rth, fmt, monitor, w)"]
+    elif n_params:
+        es, qs = _names("e", n_params), _names("q", n_params)
+        src += [f"    {es} = g", f"    {qs} = dtheta"]
+        for m in range(n_params):
+            src += [f"    q{m} = Q(hs * q{m})", f"    e{m} = Q(e{m} + q{m})"]
+        src += ["    if rth is not None:", f"        {qs} = rth"]
+        for m in range(n_params):
+            src += [f"        q{m} = Q(w * q{m})", f"        e{m} = Q(e{m} + q{m})"]
+        src.append(f"    g = ({es})")
+    src.append("    return a, g, tg0, tg1")
+    return "\n".join(src)
+
+
+@functools.cache
+def _commit_program(n_params: int, fused: bool) -> OpProgram:
+    """The commit's op program: the float form for `n_params` parameters, or
+    the generic form (`n_params` 0 or 1: without or with parameter sums),
+    whose `compile()` reads this module's `quantize`, `dot` and `_add_dtheta`."""
+    return OpProgram(f"commit{n_params}", _commit_source(n_params, fused), module=sys.modules[__name__])
+
+
 def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor, trace, scale_multiplier):
     """One policy's part of `backward`: a generator sent each step's
     (h, tape), last step first, that returns the Gradients."""
@@ -345,6 +415,11 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
         max_scale = math.ldexp(1.0, max_exp)
         scale = min(init_scale(a, fmt_low) * scale_multiplier, max_scale)
 
+    # The float form of the commit where the step tapes are fused
+    # (`integrate._stages`), the generic form for every other sweep.
+    fused = one and type(field)._float_program() is not None
+    program = _commit_program(field.dim_params if fused else min(field.dim_params, 1), fused)
+    commit = (program.compile(fmt_high) if fused else program.compile()).commit
     for i in range(n - 1, -1, -1):
         h, tape = yield
         # Under none/safe the scale stays 1.0, so the covector is a's own
@@ -365,25 +440,20 @@ def _sweep(field, traj, theta_low, objective, policy, fmt_low, fmt_high, monitor
             trace.scales.append(scale)
             trace.rescale_counts.append(attempts - 1)
 
-        # High-precision accumulation; Phi^T a uses the pre-update adjoint
-        # and the recomputed increment, as a rounded high-precision dot.
+        # High-precision accumulation (`commit`); Phi^T a uses the pre-update
+        # adjoint and the recomputed increment, as a rounded high-precision dot.
         # h/scale and dt-dh stay in the float64 carrier (both exact there);
         # rounding them into fmt_high first can hit subnormals or overflow
         # once the scale has grown large, so each contribution is formed
         # exactly and rounded once on the way into the accumulator.
-        hs = float(h) / scale
-        phi_a = dot(tape.increment, a, fmt_high)
-        u = quantize(hs * (v.dt - v.dh), fmt_high)
-        tgrad[i] = quantize(quantize(tgrad[i] + u, fmt_high) - phi_a, fmt_high)
-        u = quantize(hs * v.dh, fmt_high)
-        tgrad[i + 1] = quantize(quantize(tgrad[i + 1] + u, fmt_high) + phi_a, fmt_high)
+        ry = rth = None
         if running is not None:
-            a = quantize(a + quantize(w[i] * cost_partial(running.grad_y, i, True), fmt_high), fmt_high)
-        a = quantize(a + quantize(hs * v.da, fmt_high), fmt_high)
-        if field.dim_params:
-            g = _add_dtheta(g, v.dtheta, fmt_high, scale=hs)
-        if running is not None and running.grad_theta is not None:
-            g = _add_dtheta(g, cost_partial(running.grad_theta, i, False), fmt_high, scale=w[i])
+            ry = cost_partial(running.grad_y, i, True)
+            if running.grad_theta is not None:
+                rth = cost_partial(running.grad_theta, i, False)
+        a, g, tgrad[i], tgrad[i + 1] = commit(
+            a, g, tgrad[i], tgrad[i + 1], tape.increment, v, float(h) / scale, ry, rth, w[i], fmt_high
+        )
 
         if dynamic:
             if not all(map(_all_finite, (a, g, tgrad[i], tgrad[i + 1]))):

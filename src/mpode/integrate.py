@@ -43,7 +43,13 @@ The step tape's pullback then sums floats too, and a field's tuple of
 parameter cotangents one float at a time, in stage order.  A field may
 hand back arrays for float inputs; the two forms mix freely.  A float
 state whose field has an op program (`PolyDecayField`) takes the fused
-float form; every other state and field the generic one.
+float form; every other state and field the generic one.  The forward's
+per-step high-precision update, `y += h * dy` with dy first rounded to
+the high format, is one op program too (`_UPDATE`), compiled in the same
+two forms and chosen with the step's once per solve: code with the
+rounding inline for the fused float form, `quantize` calls for the rest.
+Only the step size h and the stored low-precision copy of each state are
+rounded by a `quantize` call per step.
 """
 from __future__ import annotations
 
@@ -303,9 +309,12 @@ def _all_finite(x) -> bool:
 
 
 def _add_dtheta(acc, d, fmt, monitor=None, scale=None):
-    """`acc + d`, or `acc + scale * d`, every op rounded to `fmt`; a tuple
-    `d` (a one-component field's `dtheta`) is summed one float at a time."""
-    if type(d) is tuple:
+    """`acc + d`, or `acc + scale * d`, every op rounded to `fmt`.  A tuple
+    `acc` (a one-component sweep's, or a field's tuple `dtheta`) stays a
+    tuple of floats, summed one float at a time, whatever `d` is."""
+    if type(acc) is tuple:
+        if type(d) is not tuple:  # a field's array dtheta for a float state
+            d = d.tolist()
         if scale is not None:
             d = [quantize(scale * q, fmt, monitor) for q in d]
         return tuple([quantize(p + q, fmt, monitor) for p, q in zip(acc, d)])
@@ -378,6 +387,18 @@ def increment(
     return _stages(scheme, field, y, t, h, theta_low, fmt, monitor)[0]
 
 
+# The forward's per-step update of the high-precision state, `y += h * dy`
+# with dy first rounded to the high format: compiled for a float state
+# whose step is fused (`_stages`), generic for every other.
+_UPDATE = OpProgram("forward.update", """
+    def update(y, dy, h, fmt, monitor=None):
+        dy = Q(dy)
+        v = Q(h * dy)
+        y = Q(y + v)
+        return y
+""", module=sys.modules[__name__])
+
+
 @np.errstate(invalid="ignore", over="ignore")
 def forward(
     scheme: Scheme,
@@ -416,11 +437,12 @@ def forward(
     y_low = quantize(y, fmt_low)
     states = np.empty((n + 1, *x.shape))
     states[0] = y_low
+    fused = type(y) is float and type(field)._float_program() is not None
+    update = (_UPDATE.compile(fmt_high) if fused else _UPDATE.compile()).update
     for i in range(n):
         h = quantize(float(t[i + 1]) - float(t[i]), fmt_high)
         dy = increment(scheme, field, y_low, float(t[i]), h, theta_low, fmt_low, monitor)
-        dy_h = quantize(dy, fmt_high)
-        y = quantize(y + quantize(h * dy_h, fmt_high), fmt_high)
+        y = update(y, dy, h, fmt_high)
         y_low = quantize(y, fmt_low)
         states[i + 1] = y_low
         if not _all_finite(y_low):

@@ -30,23 +30,31 @@ write each rounded op as `quantize` of its exact carrier value,
 `add`, `sub`, `mul`, `div`, `exp`, `tanh`, `absolute` and `maximum` are
 that same call in one line.  The float ops of a one-component solve are
 written once as op programs (`OpProgram`: `PolyDecayField`'s forward and
-pullback, each scheme's stages and step pullback), whose generated code
-does `quantize`'s float rounding inline and calls it only for values
-outside the normal range.  `quantize` rounds a float, and a float64
-array in a format with a native dtype, in its own frame, from constants
-each format holds as plain attributes (`FloatFormat._split`, `_native`).
+pullback, each scheme's stages and step pullback, the forward's
+high-precision update and the backward sweep's per-step commit), whose
+generated code does `quantize`'s float rounding inline and calls it only
+for finite nonzero values outside the normal range.  `quantize` rounds a
+float, and a float64 array in a format with a native dtype, in its own
+frame, from constants each format holds as plain attributes
+(`FloatFormat._split`, `_shifter`, `_native`).
 A float with min_normal <= |x| <= top (top is max_finite unless
 x * splitter could overflow) is rounded by Veltkamp splitting (Dekker,
 1971; Boldo, "Pitfalls of a full floating-point proof", 2006): with
 g = splitter * x, splitter = 2**(52 - mantissa_bits) + 1, the float64
 sum g + (x - g) is x rounded to nearest even on mantissa_bits + 1 bits.
-Rounding is monotone and min_normal and max_finite are representable, so
-such a value stays in the normal range, has no range event, and returns at
-once: a monitor is consulted only for the rest.  A float zero rounds to
-itself, keeps its sign and is no range event, so it returns right after
-that test.  Other numbers (`np.float64`, int, bool) round as their float.
-Other floats (subnormals, values beyond +-top, infinities and NaN), and
-arrays of over `_SMALL` elements without a native dtype, take the generic
+Two comparison chains, `tiny <= x <= top or -top <= x <= -tiny`, test
+that range without an `abs()` call.  Rounding is monotone and min_normal
+and max_finite are representable, so such a value stays in the normal
+range, has no range event, and returns at once: a monitor is consulted
+only for the rest.  A float zero, an infinity and a NaN round to
+themselves, keep their sign and are no range event, so they return right
+after their test.  A nonzero float below min_normal rounds by one add and
+one subtract, (x + C) - C with C = 1.5 * 2**(ulp floor + 52) (`_shifter`):
+C's float64 ulp is the subnormal spacing and x + C stays in C's binade, so
+the sum rounds x onto the subnormal grid, ties to even, and the subtract
+is exact; a zero result takes x's sign.  Other numbers (`np.float64`, int,
+bool) round as their float.  Finite floats beyond +-top, and arrays of
+over `_SMALL` elements without a native dtype, take the generic
 frexp/ldexp code, which sends a value that rounds past float64's largest
 to inf; smaller such arrays round one float at a time.  A `dot` of two or
 more terms in float16, float32 or float64 rounds (or, in float64, keeps)
@@ -134,6 +142,9 @@ class FloatFormat:
             _ulp_floor=min_exp - m,  # exponent of the subnormal spacing
             _native=_NATIVE_DTYPES.get((e, m)),  # the numpy dtype whose cast rounds alike, or None
             _split=split,
+            # A subnormal x rounds as (x + _shifter) - _shifter: the ulp of
+            # this float64 is the subnormal spacing, and the sum stays in its binade.
+            _shifter=1.5 * 2.0 ** (min_exp - m + 52),
         )
         for attr, value in constants.items():
             object.__setattr__(self, attr, value)  # the dataclass is frozen
@@ -175,9 +186,10 @@ class RangeMonitor:
     attached to it stays clean.
 
     A value in [min_normal, max_finite] rounds to one in the same range, and
-    a zero rounds to itself, so neither can be an event: `quantize` and the
-    float ops never call `observe` for a float of either kind (only a
-    nonzero float outside the range reaches it), a monitored native-dtype
+    a zero, an infinity and a NaN round to themselves, so none can be an
+    event: `quantize` and the float ops never call `observe` for such a
+    float (only a finite nonzero float outside the range reaches it), a
+    monitored native-dtype
     `dot` calls it only when a product or partial sum is outside the range
     (zeros included), and `observe` returns after one range check when
     every rounded element of an array is in it.
@@ -220,21 +232,14 @@ class RangeMonitor:
 
 
 def _quantize_scalar(x: float, fmt: FloatFormat) -> float:
-    if x != x:
-        return math.copysign(math.nan, x)
-    if x == 0.0 or math.isinf(x):
-        return x
+    """A finite float beyond the split's top, rounded to `fmt`."""
     _, e = math.frexp(x)
-    shift = max(e - 1 - fmt.mantissa_bits, fmt._ulp_floor)
+    shift = e - 1 - fmt.mantissa_bits  # |x| > top >= min_normal: never below the ulp floor
     try:
         y = math.ldexp(round(math.ldexp(x, -shift)), shift)
     except OverflowError:  # rounded up past float64's own largest value
         return math.copysign(math.inf, x)
-    if abs(y) > fmt.max_finite:
-        return math.copysign(math.inf, x)
-    if y == 0.0:
-        return math.copysign(0.0, x)
-    return y
+    return y if abs(y) <= fmt.max_finite else math.copysign(math.inf, x)
 
 
 def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
@@ -248,8 +253,9 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
     carrier itself); the result may then alias the input, and a monitor
     sees nothing.  A float that the split rounder takes
     (min_normal <= |x| <= top) returns before the monitor: it cannot leave
-    the normal range.  So does a float zero, which rounds to itself: only
-    a nonzero float outside the range reaches the monitor.  Only arrays
+    the normal range.  So do a float zero, inf and NaN, which round to
+    themselves: only a finite nonzero float outside the range reaches the
+    monitor.  Only arrays
     can warn: the float16/float32 cast and the generic code on bfloat16
     arrays of over `_SMALL` elements emit numpy's overflow
     `RuntimeWarning`, which solves silence and direct callers see.
@@ -280,12 +286,20 @@ def quantize(x, fmt: FloatFormat, monitor: RangeMonitor | None = None):
             if monitor is not None:
                 monitor.observe(x, out, fmt)
             return out
-    if tiny <= abs(x) <= top:  # stays in the normal range: nothing to observe
+    if tiny <= x <= top or -top <= x <= -tiny:  # stays in the normal range: nothing to observe
         g = splitter * x
         return g + (x - g)
-    if x == 0.0:  # rounds to itself, sign kept, and is no range event
+    if -tiny < x < tiny:
+        if x == 0.0:  # rounds to itself, sign kept, and is no range event
+            return x
+        shifter = fmt._shifter
+        out = (x + shifter) - shifter  # onto the subnormal grid, ties to even
+        if out == 0.0:
+            out = math.copysign(0.0, x)
+    elif x - x != 0.0:  # inf or NaN rounds to itself and is no range event
         return x
-    out = _quantize_scalar(x, fmt)
+    else:
+        out = _quantize_scalar(x, fmt)
     if monitor is not None:
         monitor.observe(x, out, fmt)
     return out
@@ -399,8 +413,9 @@ def _op_code(source: str, split) -> str:
 
     `split` None gives the call form, `x = quantize(expr, fmt, monitor)`;
     an empty tuple (float64) gives `x = expr`; a format's `_split` gives
-    `x = expr`, then the Veltkamp split of x in the normal range and one
-    `quantize` call for any other nonzero x (`quantize`'s own float code).
+    `x = expr`, then the Veltkamp split of x in the normal range, nothing
+    for a zero, inf or NaN (each rounds to itself), and one `quantize` call
+    for any other x (`quantize`'s own float code).
     """
     out = []
     for line in source.splitlines():
@@ -416,10 +431,10 @@ def _op_code(source: str, split) -> str:
         if split:
             tiny, top, splitter = split
             out += [
-                f"{ind}if {tiny!r} <= abs({x}) <= {top!r}:",
+                f"{ind}if {tiny!r} <= {x} <= {top!r} or {-top!r} <= {x} <= {-tiny!r}:",
                 f"{ind}    _g = {splitter!r} * {x}",
                 f"{ind}    {x} = _g + ({x} - _g)",
-                f"{ind}elif {x} != 0.0:",
+                f"{ind}elif {x} != 0.0 and {x} - {x} == 0.0:",
                 f"{ind}    {x} = quantize({x}, fmt, monitor)",
             ]
     text = "\n".join(out) + "\n"
@@ -437,19 +452,25 @@ class OpProgram:
     the name `_g` is the generated code's own.  `compile(fmt)` generates and
     compiles the code for one format on first use and caches it, so nothing
     compiles at import.  In float16, bfloat16 and float32 each op becomes
-    `x = expr`, then `quantize`'s Veltkamp split inline when min_normal <=
-    |x| <= top, and otherwise, for a nonzero x, one `quantize(x, fmt,
-    monitor)` call, the only code that sees the monitor.  In float64 an op
-    keeps the bare carrier value.  The inline code takes floats; each op
-    gives the bits and the range events of `quantize`.
+    `x = expr` and then one of three branches:
+      * min_normal <= |x| <= top, tested by two comparison chains:
+        `quantize`'s Veltkamp split, inline;
+      * a finite nonzero x outside that range (`x != 0.0 and x - x ==
+        0.0`): one `quantize(x, fmt, monitor)` call, the only code that
+        sees the monitor; it rounds a subnormal by one add and one subtract;
+      * a zero, inf or NaN: nothing, no call; each rounds to itself, keeps
+        its sign and is no range event.
+    In float64 an op keeps the bare carrier value.  The inline code takes
+    floats; each op gives the bits and the range events of `quantize`.
 
     `compile(fmt, rounder)` writes every op as a call `rounder(expr, fmt,
     monitor)` instead: the one seam through which a test rounds the
     generated ops with a rounder of its own.  `compile()` writes every op as
     `quantize(expr, fmt, monitor)` for functions that take `fmt` as an
-    argument; with `module` given, the functions read that module's
-    globals, so its `quantize` is looked up at each call.  `env(fmt,
-    rounder)` gives the generated code more globals.
+    argument, the generic form for arrays and batches; with `module` given,
+    these functions read that module's globals, so its `quantize` is looked
+    up at each call.  `env(fmt, rounder)` gives the generated code of a
+    format more globals.
 
     The generated text is registered with `linecache` under the filename
     `<op program NAME FORMAT>`, so tracebacks show its lines and
@@ -478,7 +499,7 @@ class OpProgram:
         else:
             split, label = fmt._split or (), fmt.name
         text = _op_code(self.source, split)
-        if self._module is not None:
+        if self._module is not None and fmt is None:
             namespace = vars(self._module)
         else:
             namespace = {"quantize": rounder or quantize, "fmt": fmt}

@@ -1,5 +1,6 @@
 """Backward-pass tests: scale management, accumulators, and update rule."""
 
+import collections
 import math
 import operator
 import sys
@@ -725,6 +726,44 @@ class TestOneComponentFloatPath:
             if field_name == "polydecay" and policy == "dynamic":
                 assert trace.total_rescales > 0 and bwd_mon.overflows > 0
 
+    @pytest.mark.parametrize("running", ["terminal", "grad_theta"])
+    def test_mlp_parameter_accumulator_stays_on_floats(self, monkeypatch, running):
+        # `MlpField` hands back an array `dtheta` for a float state; the
+        # sweep's parameter accumulator still sums it one float at a time,
+        # so no rounded op of the accumulator sees a tuple and an array.
+        [(field, params, x), (_, _, bx)], grid, factor = one_component_runs("mlp")
+        objective = terminal_objective(factor)
+        objective.running = RUNNING_COSTS[running]()
+        rest = (params, objective, ScalingPolicy.dynamic(), FLOAT16, FLOAT32)
+        btraj = forward(Scheme.RK4, field, bx, grid, params, FLOAT16, FLOAT32)
+        bgrads = backward(Scheme.RK4, field, btraj, *rest)
+        sums, operands, depth = [], [], []
+        add_dtheta, real = adjoint._add_dtheta, precision.quantize
+
+        def sweep_add(acc, d, *args):
+            depth.append(1)
+            try:
+                out = add_dtheta(acc, d, *args)
+            finally:
+                depth.pop()
+            sums.append(out)
+            return out
+
+        def spy(x, *args):
+            if depth:
+                operands.append(type(x))
+            return real(x, *args)
+
+        monkeypatch.setattr(adjoint, "_add_dtheta", sweep_add)
+        monkeypatch.setattr(integrate, "quantize", spy)
+        traj = forward(Scheme.RK4, field, x, grid, params, FLOAT16, FLOAT32)
+        grads = backward(Scheme.RK4, field, traj, *rest)
+        assert len(sums) == grid.n_steps * (2 if running == "grad_theta" else 1)
+        assert all(type(g) is tuple and {type(q) for q in g} == {float} for g in sums)
+        assert operands and set(operands) == {float}
+        assert grads.d_theta.tobytes() == bgrads.d_theta[0].tobytes()
+        assert grads.d_x.tobytes() == bgrads.d_x[0].tobytes() and grads.d_t.tobytes() == bgrads.d_t[:, 0].tobytes()
+
 
 class TestLockstep:
     """Several policies' reverse sweeps over one step tape per step: each
@@ -902,15 +941,16 @@ class TestRoundingCallCount:
     def test_polydecay_rk4_step_observes_only_roundings_out_of_range(self, monkeypatch):
         # A one-component step runs on floats, the pullback's parameter
         # cotangents included, so no monitored op gets an array: a rounded
-        # float whose exact value is in [min_normal, max_finite] or is zero
-        # never reaches the monitor, and every other one reaches it once.
+        # float whose exact value is in [min_normal, max_finite], is zero,
+        # inf or NaN never reaches the monitor, and every other one (a
+        # finite nonzero value out of range) reaches it once.
         # The step's generated ops are compiled to call a tallying
         # `quantize` with their exact value, and each monitored op that the
         # modules call is wrapped to redo it; then the generated code with
         # its inline rounding must observe exactly as often.
         exact = {"quantize": (1, lambda x: x), "add": (2, operator.add), "sub": (2, operator.sub),
                  "mul": (2, operator.mul), "dot": (2, operator.mul)}
-        tally = {"inside": 0, "zero": 0, "outside": 0, "arrays": 0}
+        tally = {"inside": 0, "zero": 0, "outside": 0, "inf or nan": 0, "arrays": 0}
         observed = []
         real_observe = RangeMonitor.observe
 
@@ -929,6 +969,8 @@ class TestRoundingCallCount:
                         tally["arrays"] += 1
                     elif x == 0.0:
                         tally["zero"] += 1
+                    elif x - x != 0.0:
+                        tally["inf or nan"] += 1
                     else:
                         tally["inside" if fmt.min_normal <= abs(x) <= fmt.max_finite else "outside"] += 1
                 return fn(*args)
@@ -956,7 +998,44 @@ class TestRoundingCallCount:
             observed.clear()
             assert solve() == inline
         assert tally["inside"] > tally["outside"] > 0 and tally["zero"] > 0 and tally["arrays"] == 0, tally
+        assert tally["inf or nan"] > 0, tally
         assert len(observed) == tally["outside"] == inline_observed, tally
+
+    def test_polydecay_float_solve_leaves_only_the_designed_quantize_calls(self, monkeypatch):
+        # A one-component float16 solve runs its rounded float ops in
+        # generated code: the step, the forward's high-precision update and
+        # the sweep's commit.  What the solve modules still call `quantize`
+        # for is the rounding of each step size h, the forward's initial
+        # and per-step low-precision copies of the state, and the sweep's
+        # seed adjoint and one covector per pullback attempt.  A fall back
+        # to one call per op would add several per step.
+        field, params, x, t_final = decay_benchmark()
+        n = 24
+        grid = TimeGrid.uniform(t_final, n)
+        policy = ScalingPolicy.dynamic()
+        calls = collections.Counter()
+
+        def solve():
+            monitor, trace = RangeMonitor(), BackwardTrace()
+            traj = forward(Scheme.RK4, field, x, grid, params, FLOAT16, FLOAT32, monitor)
+            forward_calls = dict(calls)
+            calls.clear()
+            backward(Scheme.RK4, field, traj, params, terminal_objective(), policy, FLOAT16, FLOAT32,
+                     monitor, trace)
+            return forward_calls, trace, monitor
+
+        solve()  # rounds and caches the Butcher weights
+
+        def spy(x, *args):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return precision.quantize(x, *args)
+
+        for module in (integrate, adjoint):
+            monkeypatch.setattr(module, "quantize", spy)
+        forward_calls, trace, monitor = solve()
+        assert trace.total_rescales > 0 and monitor.overflows > 0 and monitor.underflows > 0
+        assert forward_calls == {"forward": 2 + 2 * n}
+        assert dict(calls) == {"_lockstep": n, "_sweep": 1 + n + trace.total_rescales}
 
 
 class AlwaysInfVjpField(VelocityField):

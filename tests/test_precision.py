@@ -187,9 +187,10 @@ class TestQuantizeExact:
     @SMALL_FORMATS
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_generic_code_sees_only_values_outside_the_normal_range(self, fmt, oracle, monkeypatch):
-        # The split rounder covers min_normal <= |x| <= max_finite and a
-        # zero returns as it is; the subnormal range, values beyond
-        # +-max_finite, +-inf and NaN take the generic scalar code.
+        # The split rounder covers min_normal <= |x| <= max_finite; a zero,
+        # +-inf and NaN return as they are, and a subnormal rounds by one
+        # add and one subtract.  Only finite values beyond +-max_finite
+        # take the generic scalar code.
         generic, seen = precision._quantize_scalar, []
 
         def spy(x, f):
@@ -202,10 +203,9 @@ class TestQuantizeExact:
         half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
         inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
                   float(np.nextafter(top, 0.0)), top]
-        outside = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
-                   float(np.nextafter(top, np.inf)), top * (1 + half_ulp / 2), 2 * top, 1e300,
-                   math.inf, math.nan]
-        for xs, generic_calls in ((inside, 0), ([0.0], 0), (outside, 1)):
+        below = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324]
+        beyond = [float(np.nextafter(top, np.inf)), top * (1 + half_ulp / 2), 2 * top, 1e300]
+        for xs, generic_calls in ((inside, 0), ([0.0], 0), (below, 0), ([math.inf, math.nan], 0), (beyond, 1)):
             for x in xs + [-x for x in xs]:
                 want = quantize(np.array([x]), fmt)[0]
                 seen.clear()
@@ -832,9 +832,11 @@ class TestFloatOps:
     @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, E11M20], ids=lambda f: f.name)
     def test_only_values_outside_the_split_range_reach_quantize(self, fmt, monkeypatch):
         # Every float op is one `quantize` call.  Where its exact result x
-        # has min_normal <= |x| <= top, or is zero, `quantize` returns
-        # before the generic code and the monitor; any other x takes one
-        # call of each (the monitor only when one is attached).
+        # has min_normal <= |x| <= top, or is zero, inf or NaN, `quantize`
+        # returns before the generic code and the monitor.  A nonzero
+        # subnormal x rounds by one add and one subtract and reaches the
+        # monitor only; a finite x beyond +-top takes one call of each (the
+        # monitor only when one is attached).
         calls = {"quantize": 0, "generic": 0, "observe": 0}
         real_quantize, generic, observe = quantize, precision._quantize_scalar, RangeMonitor.observe
 
@@ -851,23 +853,104 @@ class TestFloatOps:
         half_ulp = 2.0 ** -(fmt.mantissa_bits + 1)
         inside = [tiny, float(np.nextafter(tiny, 1.0)), 0.5, 1.0 + half_ulp, 1.0 + 3 * half_ulp,
                   float(np.nextafter(top, 0.0)), top]
-        outside = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324,
-                   float(np.nextafter(top, np.inf)), 2 * top, 1e300, math.inf, math.nan]
-        # Operands whose exact result is x, and tanh inputs in and out of range.
-        cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
-                 for x in inside + [0.0] + [-x for x in inside + [0.0]]]
-        cases += [(tanh, (x,)) for x in (4 * tiny, -4 * tiny, 0.5, -2.0, 20.0, 0.0, -0.0)]
-        out_cases = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
-                     for x in outside + [-x for x in outside]]
-        out_cases += [(tanh, (x,)) for x in (tiny / 2, 5e-324, math.nan)]
-        for group, outside_calls in ((cases, 0), (out_cases, 1)):
+        below = [float(np.nextafter(tiny, 0.0)), tiny / 2, fmt.min_subnormal, 5e-324]
+        beyond = [float(np.nextafter(top, np.inf)), 2 * top, 1e300]
+
+        def cases(xs, tanh_inputs):
+            """Operands whose exact result is each x, and tanh inputs."""
+            out = [(op, (x, b)) for op, b in ((add, 0.0), (sub, 0.0), (mul, 1.0), (dot, 1.0))
+                   for x in xs + [-x for x in xs]]
+            return out + [(tanh, (x,)) for x in tanh_inputs]
+
+        groups = [  # the cases, and their generic and monitor calls
+            (cases(inside + [0.0, math.inf, math.nan], (4 * tiny, -4 * tiny, 0.5, -2.0, 20.0, 0.0, -0.0, math.nan)),
+             0, 0),
+            (cases(below, (tiny / 2, 5e-324)), 0, 1),
+            (cases(beyond, ()), 1, 1),
+        ]
+        for group, generic_calls, observe_calls in groups:
             for op, args in group:
                 for monitor in (None, RangeMonitor()):
                     calls.update(quantize=0, generic=0, observe=0)
                     op(*args, fmt, monitor)
-                    want = {"quantize": 1, "generic": outside_calls,
-                            "observe": outside_calls if monitor is not None else 0}
+                    want = {"quantize": 1, "generic": generic_calls,
+                            "observe": observe_calls if monitor is not None else 0}
                     assert calls == want, (op.__name__, fmt.name, args, monitor)
+
+
+class TestOutOfRangeFloats:
+    """A float below min_normal rounds by one add and one subtract of
+    `FloatFormat._shifter`, in `quantize` and in generated op code alike;
+    inf and NaN round to themselves, and generated code calls nothing for
+    them.  The exhaustive scalar-path tests above check the bits of every
+    midpoint; here every result in the subnormal range, grid values and
+    their float64 neighbours included, is checked against the integer
+    oracle with its sign (a zero result takes x's) and the monitor's count."""
+
+    @staticmethod
+    def check(fmt, xs):
+        op = ONE_OP.compile(fmt).op
+        zeros = set()
+        for x in xs + [-x for x in xs]:
+            want = round_to_format(x, fmt.mantissa_bits, fmt.exponent_bits)
+            underflows = int(abs(want) < fmt.min_normal)
+            for rounder in (quantize, lambda v, f, m: op(v, m)):
+                mon = RangeMonitor()
+                got = rounder(x, fmt, mon)
+                assert type(got) is float and _same_bits(got, want), (fmt.name, x, got, want)
+                assert math.copysign(1.0, got) == math.copysign(1.0, x), (fmt.name, x, got)
+                assert (mon.underflows, mon.overflows) == (underflows, 0), (fmt.name, x)
+            if want == 0.0:
+                zeros.add(math.copysign(1.0, want))
+        assert zeros == {1.0, -1.0}, fmt.name  # a zero result of each sign was seen
+
+    @staticmethod
+    def with_neighbours(values):
+        return [v for x in values for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+    def test_float16_every_subnormal_and_midpoint(self):
+        ulp = FLOAT16.min_subnormal
+        grid = [k * ulp for k in range(1, 1024)]  # every subnormal
+        midpoints = [(k + 0.5) * ulp for k in range(1024)]  # the first ties to zero, the last up to min_normal
+        self.check(FLOAT16, self.with_neighbours(grid + midpoints) + [5e-324])
+
+    @pytest.mark.parametrize("fmt", [BFLOAT16, FLOAT32], ids=str)
+    def test_sampled_subnormals(self, fmt):
+        rng = np.random.default_rng(2026)
+        ulp, steps = fmt.min_subnormal, 2**fmt.mantissa_bits
+        ks = rng.integers(0, steps, size=1500).tolist() + [0, 1, steps - 1]
+        values = [k * ulp for k in ks if k] + [(k + 0.5) * ulp for k in ks]
+        values += (rng.random(3000) * fmt.min_normal).tolist()
+        self.check(fmt, self.with_neighbours(values) + [5e-324, fmt.min_normal / 3])
+
+    @pytest.mark.parametrize("fmt", [FLOAT16, BFLOAT16, FLOAT32, E11M20], ids=lambda f: f.name)
+    def test_inf_and_nan_in_generated_code(self, fmt, monkeypatch):
+        calls = []
+        real = precision.quantize
+
+        def spy(x, *args):
+            calls.append(x)
+            return real(x, *args)
+
+        monkeypatch.setattr(precision, "quantize", spy)
+        ops = OpProgram("special", """
+            def ops(a, b, monitor=None):
+                p = Q(a * b)
+                s = Q(p + b)
+                return p, s
+        """).compile(fmt).ops
+        pairs = [(a, b) for a in (math.inf, -math.inf, math.nan, -math.nan) for b in (2.0, -3.0, 0.5)]
+        pairs += [(math.inf, 0.0), (-math.inf, -0.0), (1.0, math.inf), (0.0, -math.inf)]  # no two NaN operands
+        for a, b in pairs:
+            mon, want_mon = RangeMonitor(), RangeMonitor()
+            calls.clear()
+            p, s = ops(a, b, mon)
+            assert calls == [], (fmt.name, a, b)
+            want_p = real(a * b, fmt, want_mon)
+            want_s = real(want_p + b, fmt, want_mon)
+            for got, want in ((p, want_p), (s, want_s)):
+                assert _same_bits(got, want) and np.signbit(got) == np.signbit(want), (fmt.name, a, b)
+            assert (mon.underflows, mon.overflows) == (want_mon.underflows, want_mon.overflows) == (0, 0)
 
 
 class TestRoundedOps:
